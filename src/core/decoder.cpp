@@ -39,6 +39,20 @@ SketchGraph& sketch_scratch() {
   return h;
 }
 
+/// Per-thread certification masks for one level list: `words` 64-bit words
+/// per point, bit k set iff the point is certified outside center k's
+/// protected ball. A point's row is filled on first use (`ready`), so each
+/// (point, center) pair is probed at most once per level list.
+struct CertMasks {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint8_t> ready;
+};
+
+CertMasks& mask_scratch() {
+  static thread_local CertMasks m;
+  return m;
+}
+
 }  // namespace
 
 PreparedFaults::PreparedFaults(
@@ -154,6 +168,30 @@ void PreparedFaults::filter_label_edges(const VertexLabel& label, unsigned i,
     return d_mf_lb > d_um && d_mf_lb - d_um > lambda;
   };
 
+  // An edge survives iff for every center at least one endpoint is
+  // certified outside its ball: (mask[a] | mask[b]) covers all centers.
+  const std::size_t num_centers = centers_.size();
+  const std::size_t words = (num_centers + 63) / 64;
+  const std::uint64_t last_word_full =
+      num_centers % 64 == 0 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << (num_centers % 64)) - 1;
+  CertMasks& masks = mask_scratch();
+  if (words != 0) {
+    masks.bits.resize(ll.points.size() * words);
+    masks.ready.assign(ll.points.size(), 0);
+  }
+  auto mask_of = [&](std::uint32_t slot) -> const std::uint64_t* {
+    std::uint64_t* row = masks.bits.data() + slot * words;
+    if (!masks.ready[slot]) {
+      masks.ready[slot] = 1;
+      std::fill(row, row + words, 0);
+      for (std::size_t k = 0; k < num_centers; ++k) {
+        if (certified_out(slot, k)) row[k / 64] |= std::uint64_t{1} << (k % 64);
+      }
+    }
+    return row;
+  };
+
   for (const SketchEdge& e : ll.edges) {
     ++stats.edges_considered;
     const Vertex x = ll.points[e.a];
@@ -169,8 +207,13 @@ void PreparedFaults::filter_label_edges(const VertexLabel& label, unsigned i,
       continue;
     }
     bool survives = true;
-    for (std::size_t k = 0; k < centers_.size() && survives; ++k) {
-      survives = certified_out(e.a, k) || certified_out(e.b, k);
+    if (words != 0) {
+      const std::uint64_t* ma = mask_of(e.a);
+      const std::uint64_t* mb = mask_of(e.b);
+      for (std::size_t w = 0; w + 1 < words && survives; ++w) {
+        survives = (ma[w] | mb[w]) == ~std::uint64_t{0};
+      }
+      survives = survives && (ma[words - 1] | mb[words - 1]) == last_word_full;
     }
     if (survives) edges.keep_min(FaultSet::edge_key(x, y), e.w);
   }
@@ -211,7 +254,6 @@ QueryResult PreparedFaults::query(const VertexLabel& source,
       }
     }
 
-    h.reserve(edges.size() + 2);
     h.intern(source.owner);
     h.intern(target.owner);
     for (const auto& [key, w] : edges.entries()) {
@@ -219,6 +261,7 @@ QueryResult PreparedFaults::query(const VertexLabel& source,
       const Vertex y = static_cast<Vertex>(key & 0xffffffffu);
       h.add_edge(h.intern(x), h.intern(y), w);
     }
+    h.finalize();
     result.stats.sketch_vertices = h.num_vertices();
     result.stats.sketch_edges = h.num_edges();
     endpoint_pb_checks = result.stats.pb_checks - prepare_stats_.pb_checks;

@@ -19,6 +19,11 @@
 //     with d(u, M) < ρ_i / 2 in every case where it needs such an edge, so
 //     this certificate always fires there and the (1+ε) bound is preserved.
 //
+// The certificate depends only on (u, f, i), so the decoder evaluates it
+// once per (point, center) of a level list into a per-point bitmask over
+// centers; an edge survives iff the OR of its endpoints' masks covers every
+// center.
+//
 // Only certified edges enter H, so every reported distance is realizable in
 // G \ F regardless of parameters (Lemma 2.3 soundness, rechecked in tests).
 #pragma once
@@ -94,11 +99,12 @@ QueryResult decode_query(const SchemeParams& params, const QueryInput& in);
 /// The referenced fault labels must outlive the PreparedFaults object.
 ///
 /// Thread safety: construction does all the mutation; query() is const,
-/// touches only immutable tables plus per-thread scratch (a thread_local
-/// edge accumulator and sketch graph that keep their capacity across calls,
-/// making the steady-state hot path allocation-free), and is safe from any
-/// number of concurrent threads (the server's fault-set cache shares one
-/// instance across its whole worker pool).
+/// touches only immutable tables plus per-thread scratch (thread_local edge
+/// accumulator, certification masks and sketch graph that keep their
+/// capacity across calls, making the steady-state hot path
+/// allocation-free), and is safe from any number of concurrent threads (the
+/// server's fault-set cache shares one instance across its whole worker
+/// pool).
 class PreparedFaults {
  public:
   PreparedFaults(
@@ -130,7 +136,8 @@ class PreparedFaults {
   bool vertex_faulty(Vertex v) const { return faulty_vertices_.contains(v); }
 
   /// Filter one label's level-i edges against the protected balls, merging
-  /// survivors into `edges` (keyed on endpoint pair, min weight).
+  /// survivors into `edges` (keyed on endpoint pair, min weight). Each
+  /// (point, center) certificate is probed at most once per call.
   void filter_label_edges(const VertexLabel& label, unsigned i,
                           EdgeAccumulator& edges, QueryStats& stats) const;
 

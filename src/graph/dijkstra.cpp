@@ -2,46 +2,68 @@
 
 #include <algorithm>
 #include <queue>
+#include <stdexcept>
 
 namespace fsdl {
 
 SketchGraph::Index SketchGraph::intern(Vertex external_id) {
-  auto [it, inserted] =
-      index_of_.try_emplace(external_id, static_cast<Index>(num_vertices_));
-  if (inserted) {
-    if (num_vertices_ == adjacency_.size()) {
-      external_ids_.push_back(external_id);
-      adjacency_.emplace_back();
-    } else {
-      external_ids_[num_vertices_] = external_id;
-      adjacency_[num_vertices_].clear();
-    }
-    ++num_vertices_;
+  if (external_id >= slots_.size()) {
+    slots_.resize(std::max(std::size_t{external_id} + 1, 2 * slots_.size()));
   }
-  return it->second;
+  Slot& slot = slots_[external_id];
+  if (slot.epoch != epoch_) {
+    slot.epoch = epoch_;
+    slot.index = static_cast<Index>(external_ids_.size());
+    external_ids_.push_back(external_id);
+    finalized_ = false;
+  }
+  return slot.index;
 }
 
-void SketchGraph::reserve(std::size_t n) {
-  index_of_.reserve(n);
-  external_ids_.reserve(n);
-  adjacency_.reserve(n);
+SketchGraph::Index SketchGraph::find(Vertex external_id) const noexcept {
+  if (external_id >= slots_.size()) return kNoIndex;
+  const Slot& slot = slots_[external_id];
+  return slot.epoch == epoch_ ? slot.index : kNoIndex;
 }
 
 void SketchGraph::clear() noexcept {
-  index_of_.clear();
-  num_vertices_ = 0;
-  num_edges_ = 0;
-}
-
-SketchGraph::Index SketchGraph::find(Vertex external_id) const {
-  auto it = index_of_.find(external_id);
-  return it == index_of_.end() ? kNoIndex : it->second;
+  if (++epoch_ == 0) {  // tag wrapped: hard-reset so stale slots can't match
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    epoch_ = 1;
+  }
+  external_ids_.clear();
+  edges_.clear();
+  finalized_ = false;
 }
 
 void SketchGraph::add_edge(Index a, Index b, Dist weight) {
-  adjacency_[a].push_back({b, weight});
-  adjacency_[b].push_back({a, weight});
-  ++num_edges_;
+  edges_.push_back({a, b, weight});
+  finalized_ = false;
+}
+
+void SketchGraph::finalize() {
+  const std::size_t n = num_vertices();
+  offsets_.assign(n + 1, 0);
+  for (const Edge& e : edges_) {
+    ++offsets_[e.a];
+    ++offsets_[e.b];
+  }
+  std::uint32_t start = 0;
+  for (std::size_t i = 0; i <= n; ++i) {
+    const std::uint32_t degree = offsets_[i];
+    offsets_[i] = start;
+    start += degree;
+  }
+  // Fill in edge order, advancing offsets_[i] to the end of i's arcs (the
+  // start of i+1's), then shift back by one slot.
+  arcs_.resize(start);
+  for (const Edge& e : edges_) {
+    arcs_[offsets_[e.a]++] = {e.b, e.weight};
+    arcs_[offsets_[e.b]++] = {e.a, e.weight};
+  }
+  for (std::size_t i = n; i > 0; --i) offsets_[i] = offsets_[i - 1];
+  offsets_[0] = 0;
+  finalized_ = true;
 }
 
 Dist sketch_shortest_path(const SketchGraph& h, SketchGraph::Index s,
@@ -53,6 +75,9 @@ Dist sketch_shortest_path(const SketchGraph& h, SketchGraph::Index s,
   std::size_t scans = 0;
   if (relaxations != nullptr) *relaxations = 0;
   if (s >= n || t >= n) return kInfDist;
+  if (!h.finalized()) {
+    throw std::logic_error("sketch_shortest_path: graph not finalized");
+  }
 
   // 64-bit tentative distances guard against overflow from summed weights.
   std::vector<std::uint64_t> dist(n, ~std::uint64_t{0});

@@ -241,7 +241,10 @@ std::shared_ptr<const VertexLabel> Router::fetch_label(
     std::uint64_t& epoch) {
   const std::uint32_t owner = partitioner_.owner(v);
   ShardChannel& ch = *channels_[owner];
-  if (trace.present && trace.deadline_us <= 1) {
+  // deadline_us == 0 means "no deadline"; 1 is both the sentinel the
+  // scatter loop forwards once the budget is spent and the smallest real
+  // remaining budget.
+  if (trace.present && trace.deadline_us == 1) {
     // Deadline-aware give-up: the client's budget is already gone, so any
     // answer we fetched would be discarded. Spend nothing.
     metrics_.record_label_fetch(LabelFetchResult::kUnavailable);

@@ -362,6 +362,35 @@ TEST_F(RouterFixture, AnswersExactlyLikeAMonolithicOracle) {
   router.stop();
 }
 
+TEST_F(RouterFixture, TraceContextWithoutDeadlineStillFetchesLabels) {
+  // A present trace context with deadline_us == 0 carries no deadline; the
+  // router must fetch the uncached labels, not treat 0 as a spent budget.
+  shard::Router router(router_options());
+  router.start();
+  const ForbiddenSetOracle oracle(*scheme_);
+  const Vertex n = scheme_->num_vertices();
+  Request req;
+  req.opcode = Opcode::kDist;
+  req.pairs.emplace_back(3, n - 2);  // fresh router: both labels uncached
+  req.trace.present = true;
+  req.trace.trace_lo = 42;
+  req.trace.deadline_us = 0;
+  const Response resp = router.handle(req);
+  ASSERT_EQ(resp.status, Status::kOk) << resp.text;
+  ASSERT_EQ(resp.distances.size(), 1u);
+  EXPECT_EQ(resp.distances[0], oracle.distance(3, n - 2, {}));
+
+  // The spent-budget sentinel still skips the fetch.
+  Request spent = req;
+  spent.pairs = {{5, n - 6}};
+  spent.trace.deadline_us = 1;
+  const Response skipped = router.handle(spent);
+  EXPECT_EQ(skipped.status, Status::kTimeout);
+  EXPECT_NE(skipped.text.find("client deadline exhausted"), std::string::npos)
+      << skipped.text;
+  router.stop();
+}
+
 TEST_F(RouterFixture, StartupRefusesAMiswiredFleet) {
   // Swap the two shard endpoint lists: each server then reports a shard id
   // that contradicts its position, and start() must throw.
