@@ -1,21 +1,22 @@
-// E23 — the epoll reactor data plane vs the historical
-// thread-per-connection plane.
+// E23 — the epoll reactor data plane.
 //
 // Three tables:
 //  1. Idle-connection capacity: open C quiet connections, then probe with
-//     32 DIST round-trips (2 s deadline each). The thread-per-connection
-//     plane parks one pool job per *connection*, so a handful of idlers
-//     starve the worker pool and probes time out; the reactor holds an
-//     idle connection for one fd + ~half a KB and keeps serving at 1k,
-//     10k, 50k idlers.
+//     32 DIST round-trips (2 s deadline each). The reactor holds an idle
+//     connection for one fd + ~half a KB and keeps serving at 1k, 10k and
+//     50k idlers (a thread-per-connection design would starve its worker
+//     pool on the first `workers` idlers).
 //  2. Flash crowd: 64 clients fire the *same* fault set at a cold cache
 //     simultaneously. Without coalescing every concurrently scheduled
 //     worker pays the prepare (misses ≈ concurrency); the reactor's
-//     leader/follower batching funnels the crowd through one prepare
-//     (misses ≈ 1 per key).
-//  3. Low-concurrency sanity: 2 closed-loop clients, warm cache — the
-//     reactor's event loop and batching window must not tax the common
-//     case (leaders never wait on the window).
+//     leader/follower coalescing funnels the crowd through one prepare,
+//     then runs the followers' cache-hit queries across every worker.
+//  3. Low-concurrency sanity: 2 closed-loop clients, warm cache, at 1 and
+//     2 reactor threads — the event loop must not tax the common case
+//     (leaders never wait).
+//
+// Latencies go into Histograms with 2% buckets, so percentile
+// differences above ~2% are visible.
 //
 // The idle connections' *client* ends live in forked child processes
 // (which touch nothing but syscalls after fork), so the parent's
@@ -45,9 +46,7 @@
 namespace fsdl::bench {
 namespace {
 
-const char* plane_name(server::DataPlane p) {
-  return p == server::DataPlane::kEpollReactor ? "reactor" : "thread";
-}
+constexpr double kLatencyGrowth = 1.02;
 
 /// Raise RLIMIT_NOFILE as far as the kernel allows; return the resulting
 /// soft limit.
@@ -115,15 +114,14 @@ pid_t spawn_idle_holder(std::uint16_t port, std::size_t share, int go[2],
   ::_exit(0);
 }
 
-/// Open `conns` idle connections against a fresh server on `plane`, then
-/// measure whether 32 DIST probes still get through. Probing stops after 3
-/// consecutive failures — on a starved plane every probe costs its full
+/// Open `conns` idle connections against a fresh server, then measure
+/// whether 32 DIST probes still get through. Probing stops after 3
+/// consecutive failures — on a starved server every probe costs its full
 /// 2 s deadline, and three in a row already *is* the result.
 IdleResult idle_capacity(const ForbiddenSetLabeling& scheme,
-                         server::DataPlane plane, std::size_t conns) {
+                         std::size_t conns) {
   server::ServerOptions options;
   options.workers = 4;
-  options.data_plane = plane;
   options.listen_backlog = 4096;
   server::Server srv(ForbiddenSetLabeling(scheme), options);
   srv.start();
@@ -164,7 +162,7 @@ IdleResult idle_capacity(const ForbiddenSetLabeling& scheme,
   copt.connect_timeout_ms = 2000;
   copt.recv_timeout_ms = 2000;
   copt.send_timeout_ms = 2000;
-  Histogram latency(1.25);
+  Histogram latency(kLatencyGrowth);
   out.probes_total = 32;
   unsigned consecutive_failures = 0;
   for (unsigned k = 0; k < out.probes_total; ++k) {
@@ -204,13 +202,10 @@ struct CrowdResult {
 
 /// 64 clients, one shared (cold) fault set, released together: how many
 /// times does the server pay the prepare?
-CrowdResult flash_crowd(const ForbiddenSetLabeling& scheme, const Graph& g,
-                        server::DataPlane plane, unsigned batch_window_us) {
+CrowdResult flash_crowd(const ForbiddenSetLabeling& scheme, const Graph& g) {
   constexpr unsigned kClients = 64;
   server::ServerOptions options;
   options.workers = kClients;  // admission never throttles the crowd
-  options.data_plane = plane;
-  options.batch_window_us = batch_window_us;
   server::Server srv(ForbiddenSetLabeling(scheme), options);
   srv.start();
 
@@ -224,7 +219,7 @@ CrowdResult flash_crowd(const ForbiddenSetLabeling& scheme, const Graph& g,
   std::atomic<unsigned> ready{0};
   std::atomic<bool> go{false};
   std::mutex agg_mu;
-  Histogram latency(1.25);
+  Histogram latency(kLatencyGrowth);
   std::vector<std::thread> threads;
   for (unsigned tid = 0; tid < kClients; ++tid) {
     threads.emplace_back([&, tid] {
@@ -267,10 +262,10 @@ struct LowResult {
 
 /// 2 closed-loop clients over a warm fault pool: the no-contention path.
 LowResult low_concurrency(const ForbiddenSetLabeling& scheme, const Graph& g,
-                          server::DataPlane plane) {
+                          unsigned reactor_threads) {
   server::ServerOptions options;
   options.workers = 4;
-  options.data_plane = plane;
+  options.reactor_threads = reactor_threads;
   server::Server srv(ForbiddenSetLabeling(scheme), options);
   srv.start();
 
@@ -283,7 +278,7 @@ LowResult low_concurrency(const ForbiddenSetLabeling& scheme, const Graph& g,
   constexpr unsigned kClients = 2;
   constexpr unsigned kRequests = 1500;
   std::mutex agg_mu;
-  Histogram latency(1.25);
+  Histogram latency(kLatencyGrowth);
   std::uint64_t queries = 0;
   WallTimer wall;
   std::vector<std::thread> threads;
@@ -292,7 +287,7 @@ LowResult low_concurrency(const ForbiddenSetLabeling& scheme, const Graph& g,
       Rng rng(0xAB1E + tid);
       server::Client client;
       client.connect("127.0.0.1", srv.port());
-      Histogram local(1.25);
+      Histogram local(kLatencyGrowth);
       for (unsigned r = 0; r < kRequests; ++r) {
         const FaultSet& faults = pool[rng.below(pool.size())];
         WallTimer timer;
@@ -341,32 +336,20 @@ int main() {
   // and clamp honestly. (This container pins RLIMIT_NOFILE at 20000 with
   // CAP_SYS_RESOURCE dropped, so the 50k point clamps to ~19k here.)
   const std::size_t conn_budget = fd_limit > 600 ? fd_limit - 600 : 0;
-  Table idle({"plane", "conns", "opened", "open_s", "probes_ok", "probe_p50_us",
+  Table idle({"conns", "opened", "open_s", "probes_ok", "probe_p50_us",
               "probe_p99_us"});
-  struct Point {
-    server::DataPlane plane;
-    std::size_t conns;
-  };
-  const std::vector<Point> points = {
-      {server::DataPlane::kThreadPerConnection, 1000},
-      {server::DataPlane::kThreadPerConnection, 10000},
-      {server::DataPlane::kEpollReactor, 1000},
-      {server::DataPlane::kEpollReactor, 10000},
-      {server::DataPlane::kEpollReactor, 50000},
-  };
-  for (const auto& pt : points) {
-    std::size_t conns = pt.conns;
+  for (const std::size_t requested : {1000, 10000, 50000}) {
+    std::size_t conns = requested;
     if (conns > conn_budget) {
       std::printf("clamping %zu idle conns to fd budget %zu\n", conns,
                   conn_budget);
       conns = conn_budget;
     }
-    const auto r = idle_capacity(scheme, pt.plane, conns);
+    const auto r = idle_capacity(scheme, conns);
     char ok[16];
     std::snprintf(ok, sizeof ok, "%u/%u", r.probes_ok, r.probes_total);
     idle.row()
-        .cell(plane_name(pt.plane))
-        .cell(static_cast<double>(pt.conns), 0)
+        .cell(static_cast<double>(requested), 0)
         .cell(static_cast<double>(r.opened), 0)
         .cell(r.open_s, 2)
         .cell(ok)
@@ -376,23 +359,11 @@ int main() {
   emit(idle, "E23a: idle-connection capacity (32 DIST probes, 2s deadline)");
 
   // --- 2. flash crowd ----------------------------------------------------
-  Table crowd({"config", "prepares", "cache_hits", "batch_groups", "p50_us",
+  Table crowd({"prepares", "cache_hits", "batch_groups", "p50_us",
                "p99_us"});
-  struct CrowdCfg {
-    const char* name;
-    server::DataPlane plane;
-    unsigned window_us;
-  };
-  const std::vector<CrowdCfg> cfgs = {
-      {"thread", server::DataPlane::kThreadPerConnection, 0},
-      {"reactor w=0", server::DataPlane::kEpollReactor, 0},
-      {"reactor w=100us", server::DataPlane::kEpollReactor, 100},
-      {"reactor w=1ms", server::DataPlane::kEpollReactor, 1000},
-  };
-  for (const auto& cfg : cfgs) {
-    const auto r = flash_crowd(scheme, g, cfg.plane, cfg.window_us);
+  {
+    const auto r = flash_crowd(scheme, g);
     crowd.row()
-        .cell(cfg.name)
         .cell(static_cast<double>(r.prepare_misses), 0)
         .cell(static_cast<double>(r.cache_hits), 0)
         .cell(static_cast<double>(r.batch_groups), 0)
@@ -402,12 +373,11 @@ int main() {
   emit(crowd, "E23b: flash crowd (64 clients, one cold fault-set key)");
 
   // --- 3. low-concurrency sanity -----------------------------------------
-  Table low({"plane", "p50_us", "p99_us", "qps"});
-  for (const auto plane : {server::DataPlane::kThreadPerConnection,
-                           server::DataPlane::kEpollReactor}) {
-    const auto r = low_concurrency(scheme, g, plane);
+  Table low({"reactor_threads", "p50_us", "p99_us", "qps"});
+  for (const unsigned reactor_threads : {1u, 2u}) {
+    const auto r = low_concurrency(scheme, g, reactor_threads);
     low.row()
-        .cell(plane_name(plane))
+        .cell(static_cast<double>(reactor_threads), 0)
         .cell(r.p50_us, 1)
         .cell(r.p99_us, 1)
         .cell(r.qps, 0);

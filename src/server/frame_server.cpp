@@ -1,9 +1,7 @@
 #include "server/frame_server.hpp"
 
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,73 +16,16 @@
 #include <vector>
 
 #include "server/reactor.hpp"
-#include "util/failpoint.hpp"
 
 namespace fsdl::server {
 
 namespace {
 
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const auto hit = FSDL_FAILPOINT("frame_server.send");
-    ssize_t n;
-    if (hit.kind == failpoint::HitKind::kErrno) {
-      errno = hit.err;
-      n = -1;
-    } else {
-      n = ::send(fd, data + sent, hit.clamp(size - sent), MSG_NOSIGNAL);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool send_response(int fd, const Response& resp) {
-  const auto wire = frame(encode_response(resp));
-  return send_all(fd, wire.data(), wire.size());
-}
-
-void set_socket_timeout(int fd, int option, unsigned ms) {
-  if (ms == 0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
-}
-
-/// accept() errnos that mean "try again shortly", not "the listener is
-/// dead": per-process/system fd exhaustion, a connection that was reset
-/// before we got to it, and transient resource pressure. Treating these as
-/// fatal is how an accept loop dies permanently at the worst moment.
 std::uint64_t steady_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-bool transient_accept_errno(int err) {
-  switch (err) {
-    case EMFILE:
-    case ENFILE:
-    case ECONNABORTED:
-    case EAGAIN:
-#if defined(EWOULDBLOCK) && EWOULDBLOCK != EAGAIN
-    case EWOULDBLOCK:
-#endif
-    case ENOBUFS:
-    case ENOMEM:
-    case EPROTO:
-    case EINTR:
-      return true;
-    default:
-      return false;
-  }
 }
 
 }  // namespace
@@ -100,22 +41,20 @@ FrameServer::~FrameServer() {
 }
 
 std::size_t FrameServer::pending_cap() const {
-  if (transport_.max_queued_connections == ThreadPool::kUnboundedQueue) {
+  if (transport_.max_queued_requests == kUnboundedQueue) {
     return static_cast<std::size_t>(-1);
   }
-  // `workers` requests being served + the configured waiting line — the
-  // same arithmetic the bounded pool queue used, applied to requests.
+  // `workers` requests being served + the configured waiting line.
   return static_cast<std::size_t>(transport_.workers) +
-         transport_.max_queued_connections;
+         transport_.max_queued_requests;
 }
 
 void FrameServer::start() {
   if (running_.load()) throw std::logic_error("server already started");
   on_start();
 
-  const bool reactor = transport_.data_plane == DataPlane::kEpollReactor;
-  const int lfd = ::socket(
-      AF_INET, SOCK_STREAM | (reactor ? SOCK_NONBLOCK | SOCK_CLOEXEC : 0), 0);
+  const int lfd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (lfd < 0) throw std::runtime_error("socket() failed");
   const int one = 1;
   ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -139,37 +78,22 @@ void FrameServer::start() {
   }
   listen_fd_.store(lfd);
 
-  if (reactor) {
-    // Reactor plane: the pool queue stays unbounded — admission is the
-    // pending-request accounting in Reactor::admit (per-request sheds that
-    // keep the connection), not a bounded job queue that cannot tell the
-    // client which request it dropped.
-    pool_ = std::make_unique<ThreadPool>(transport_.workers,
-                                         ThreadPool::kUnboundedQueue);
-    running_.store(true);
-    draining_.store(false);
-    stop_done_.store(false);
-    if (transport_.reactor_threads == 0) transport_.reactor_threads = 1;
-    reactors_.reserve(transport_.reactor_threads);
-    for (unsigned k = 0; k < transport_.reactor_threads; ++k) {
-      reactors_.push_back(std::make_unique<Reactor>(*this, k));
-    }
-    for (unsigned k = 0; k < transport_.reactor_threads; ++k) {
-      reactors_[k]->start(k == 0 ? lfd : -1);
-    }
-    started_ms_.store(steady_ms(), std::memory_order_relaxed);
-    if (transport_.watchdog_interval_ms > 0) {
-      watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-    }
-    return;
-  }
-
-  pool_ = std::make_unique<ThreadPool>(transport_.workers,
-                                       transport_.max_queued_connections);
+  // The pool queue is unbounded — admission is the pending-request
+  // accounting in Reactor::admit (per-request sheds that keep the
+  // connection) — so submit() refuses nothing until stop() shuts the pool
+  // down, which happens only after every reactor has joined.
+  pool_ = std::make_unique<ThreadPool>(transport_.workers);
   running_.store(true);
   draining_.store(false);
   stop_done_.store(false);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  if (transport_.reactor_threads == 0) transport_.reactor_threads = 1;
+  reactors_.reserve(transport_.reactor_threads);
+  for (unsigned k = 0; k < transport_.reactor_threads; ++k) {
+    reactors_.push_back(std::make_unique<Reactor>(*this, k));
+  }
+  for (unsigned k = 0; k < transport_.reactor_threads; ++k) {
+    reactors_[k]->start(k == 0 ? lfd : -1);
+  }
   started_ms_.store(steady_ms(), std::memory_order_relaxed);
   if (transport_.watchdog_interval_ms > 0) {
     watchdog_thread_ = std::thread([this] { watchdog_loop(); });
@@ -179,9 +103,9 @@ void FrameServer::start() {
 void FrameServer::begin_drain() {
   if (!running_.load()) return;
   draining_.store(true, std::memory_order_release);
-  // Closing the listener stops new connections and unblocks accept(). The
-  // epoll set drops a closed fd automatically; reactors also observe the
-  // -1 and forget their cached copy.
+  // Closing the listener stops new connections. The epoll set drops a
+  // closed fd automatically; reactors also observe the -1 and forget their
+  // cached copy.
   if (const int lfd = listen_fd_.exchange(-1); lfd >= 0) {
     ::shutdown(lfd, SHUT_RDWR);
     ::close(lfd);
@@ -206,7 +130,7 @@ void FrameServer::stop() {
     }
   }
 
-  // Stop the watchdog before tearing the planes down — it reads them.
+  // Stop the watchdog before tearing the reactors down — it reads them.
   {
     std::lock_guard<std::mutex> lock(watchdog_mu_);
     watchdog_stop_ = true;
@@ -215,23 +139,12 @@ void FrameServer::stop() {
   if (watchdog_thread_.joinable()) watchdog_thread_.join();
 
   running_.store(false);
-  if (transport_.data_plane == DataPlane::kEpollReactor) {
-    // Join the loops first (they close their connections on exit), then
-    // drain the pool: any jobs still queued finish and post completions
-    // into dead mailboxes, where they are dropped harmlessly.
-    for (auto& r : reactors_) r->stop_and_join();
-    if (pool_) pool_->shutdown();
-    reactors_.clear();
-    return;
-  }
-
-  // Shutting the connection fds unblocks any worker mid-recv.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Join the loops first (they close their connections on exit), then
+  // drain the pool: any jobs still queued finish and post completions into
+  // dead mailboxes, where they are dropped harmlessly.
+  for (auto& r : reactors_) r->stop_and_join();
   if (pool_) pool_->shutdown();
+  reactors_.clear();
 }
 
 std::uint64_t FrameServer::uptime_s() const noexcept {
@@ -242,10 +155,10 @@ std::uint64_t FrameServer::uptime_s() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog: one sampling thread heartbeating the data plane. Liveness
-// signals, not load signals — each reactor loop iterates at least every
-// 100ms even when idle (epoll_timeout_ms is capped), and a healthy worker
-// pool with queued work retires jobs. A unit frozen across the stall window
+// Watchdog: one sampling thread heartbeating the reactors and the pool.
+// Liveness signals, not load signals — each reactor loop iterates at least
+// every 100ms even when idle (epoll_timeout_ms is capped), and a healthy
+// worker pool with queued work retires jobs. A unit frozen across the stall window
 // counts one stall per episode and holds health at "degraded"; only the
 // opt-in abort threshold turns a hard wedge into SIGABRT + core.
 // ---------------------------------------------------------------------------
@@ -334,149 +247,6 @@ void FrameServer::watchdog_loop() {
           pool_ ? pool_->active_jobs() : 0);
       std::fflush(stderr);
       std::abort();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-per-connection plane (DataPlane::kThreadPerConnection): the
-// pre-reactor blocking transport, kept for A/B benchmarking. One pool job
-// per connection, SO_RCVTIMEO/SO_SNDTIMEO deadlines, connection-level
-// admission (a shed closes the connection).
-// ---------------------------------------------------------------------------
-
-void FrameServer::track(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.insert(fd);
-  metrics_.record_connection_opened();
-}
-
-void FrameServer::untrack(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.erase(fd);
-  metrics_.record_connection_closed();
-}
-
-void FrameServer::accept_loop() {
-  unsigned backoff_ms = 1;
-  while (running_.load()) {
-    const int lfd = listen_fd_.load();
-    if (lfd < 0) break;  // begin_drain()/stop() closed the listener
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) {
-      const int err = errno;
-      if (listen_fd_.load() < 0 || !running_.load()) break;
-      if (err == EINTR) continue;
-      if (transient_accept_errno(err)) {
-        // fd exhaustion or resource pressure: back off briefly and keep the
-        // server alive — connections already established keep being served,
-        // and accepting resumes the moment pressure clears.
-        metrics_.record_failure(FailureCounter::kAcceptRetries);
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-        backoff_ms = backoff_ms < 100 ? backoff_ms * 2 : 200;
-        continue;
-      }
-      break;  // genuinely unrecoverable (listener fd invalid, ...)
-    }
-    backoff_ms = 1;
-    if (!running_.load()) {
-      ::close(fd);
-      break;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    set_socket_timeout(fd, SO_RCVTIMEO, transport_.recv_timeout_ms);
-    set_socket_timeout(fd, SO_SNDTIMEO, transport_.send_timeout_ms);
-    metrics_.record_connection();
-    track(fd);
-    const bool queued = pool_->submit([this, fd] {
-      serve_connection(fd);
-      untrack(fd);
-      ::close(fd);
-    });
-    if (!queued) {
-      // Admission control: every worker busy and the waiting line full.
-      // One OVERLOADED frame tells the client to back off; then shed.
-      metrics_.record_failure(FailureCounter::kSheds);
-      send_response(fd, error_response("server overloaded, retry later",
-                                       Status::kOverloaded));
-      untrack(fd);
-      ::close(fd);
-    }
-  }
-}
-
-void FrameServer::serve_connection(int fd) {
-  Framer framer;
-  std::uint8_t chunk[64 * 1024];
-  std::vector<std::uint8_t> payload;
-  while (running_.load()) {
-    const auto hit = FSDL_FAILPOINT("frame_server.recv");
-    ssize_t n;
-    if (hit.kind == failpoint::HitKind::kErrno) {
-      errno = hit.err;
-      n = -1;
-    } else {
-      n = ::recv(fd, chunk, hit.clamp(sizeof chunk), 0);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // The per-connection receive deadline fired. Whether the client is
-        // mid-frame (slowloris) or simply idle, it is holding a worker —
-        // tell it why and evict.
-        metrics_.record_failure(FailureCounter::kEvictions);
-        send_response(fd, error_response(
-                              framer.pending_bytes() > 0
-                                  ? "receive deadline exceeded mid-frame"
-                                  : "idle deadline exceeded",
-                              Status::kTimeout));
-      }
-      return;
-    }
-    if (n == 0) return;  // peer closed
-    framer.feed(chunk, static_cast<std::size_t>(n));
-    while (framer.next(payload)) {
-      Request req;
-      std::string decode_error;
-      const bool decoded =
-          decode_request(payload.data(), payload.size(), req, decode_error);
-      if (draining_.load(std::memory_order_acquire) &&
-          !(decoded && req.opcode == Opcode::kHealth)) {
-        // Frames decoded after the drain flip are new work: refuse them.
-        // HEALTH is exempt — a prober must see "draining", not a refusal,
-        // so it can tell a graceful goodbye from a crash.
-        metrics_.record_failure(FailureCounter::kDrainRejects);
-        send_response(fd, error_response("server draining, not accepting "
-                                         "new requests",
-                                         Status::kDraining));
-        return;
-      }
-      Response resp;
-      in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      if (!decoded) {
-        metrics_.record_error();
-        resp = error_response("bad request: " + decode_error);
-      } else {
-        resp = handle(req);
-        if (!resp.answered()) metrics_.record_error();
-      }
-      const bool sent = send_response(fd, resp);
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      if (!sent) return;
-    }
-    if (framer.fatal()) {
-      // The stream is unsyncable: either the length prefix exceeded
-      // kMaxFramePayload or the payload failed its CRC. One diagnostic
-      // frame, then close.
-      metrics_.record_error();
-      if (framer.fatal_reason() == Framer::Fatal::kChecksum) {
-        metrics_.record_failure(FailureCounter::kFrameCrcErrors);
-        send_response(fd, error_response("frame checksum mismatch"));
-      } else {
-        send_response(fd, error_response("frame exceeds size limit"));
-      }
-      return;
     }
   }
 }

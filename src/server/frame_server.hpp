@@ -3,13 +3,11 @@
 // speak the identical wire protocol with identical fault-tolerance
 // behavior instead of two divergent copies.
 //
-// Default data plane (DataPlane::kEpollReactor):
-//
 //   listener ─► Reactor event loop(s) ─► ThreadPool ─► virtual handle()
 //                 │  (epoll, nonblocking      │
 //                 │   sockets: accept,        └─► framed responses posted
 //                 │   framing, decode,            back to the owning
-//                 │   batching, writes,           reactor, fanned out in
+//                 │   coalescing, writes,         reactor, fanned out in
 //                 │   deadlines)                  per-connection order
 //                 └─► Metrics (connections, sheds, evictions, batches, ...)
 //
@@ -17,18 +15,20 @@
 // per-connection state is touched only on the owning reactor thread, so
 // 100k idle connections cost 100k small structs and zero threads, not
 // 100k blocked stacks. Workers only ever run handle() on fully decoded
-// requests; results travel back through a mailbox + eventfd wakeup.
+// requests, one request per pool job; results travel back through a
+// mailbox + eventfd wakeup.
 //
-// Cross-request fault-set batching rides on the reactor: decoded DIST and
-// BATCH requests are keyed by the same canonical fault-set hash the
-// PreparedFaults LRU uses. The first request for a key dispatches
-// immediately (it is the prepare); same-key requests arriving while it is
-// in flight coalesce into one follower group that dispatches as a single
-// pool job when the leader finishes — by then the prepare is cached, so a
-// K-request flash crowd pays for one prepare instead of K. Uncontended
-// traffic never waits: a lone request is always a leader. batch_window_us
-// is the parking horizon for a group left with no job in flight (the shed
-// path can drop a leader after followers parked); 0 disables coalescing.
+// Cross-request fault-set coalescing rides on the reactor: decoded DIST
+// and BATCH requests are keyed by the same canonical fault-set hash the
+// PreparedFaults LRU uses. The first request for a key is the leader and
+// dispatches immediately (it pays the prepare). Same-key requests arriving
+// while the leader is in flight park behind it; when the leader finishes,
+// every parked follower is dispatched as its own pool job. By then the
+// prepare is cached, so a K-request flash crowd pays for one prepare and
+// its K-1 cache-hit queries spread over every worker. Uncontended traffic
+// never waits: a lone request is always a leader. The pool is unbounded
+// and outlives the reactors, so a dispatched job always runs and a parked
+// group always has its leader in flight.
 //
 // What lives here (and is therefore shared): the accept path with
 // transient-errno backoff, admission control (per-request OVERLOADED shed
@@ -37,11 +37,6 @@
 // decode/CRC handling, slow-reader write backpressure, and graceful drain
 // (in-flight requests finish, late frames get DRAINING, HEALTH stays
 // answered so probers can tell a goodbye from a crash).
-//
-// The pre-reactor blocking transport (one pool job per connection,
-// SO_RCVTIMEO deadlines, connection-level sheds) is retained behind
-// DataPlane::kThreadPerConnection for A/B benchmarking (bench_reactor)
-// and as a fallback; it caps useful concurrency at the worker count.
 //
 // What subclasses own: everything behind handle() — labels, caches,
 // reloads for Server; scatter-gather fan-out for shard::Router.
@@ -53,24 +48,18 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "server/metrics.hpp"
 #include "server/protocol.hpp"
-#include "server/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fsdl::server {
 
 class Reactor;
 
-/// Which transport implementation serves the sockets.
-enum class DataPlane : std::uint8_t {
-  /// Nonblocking epoll event loop(s) + decode-only worker pool (default).
-  kEpollReactor = 0,
-  /// Historical blocking plane: one pool job per connection.
-  kThreadPerConnection = 1,
-};
+/// `max_queued_requests` value that disables admission control.
+inline constexpr std::size_t kUnboundedQueue = static_cast<std::size_t>(-1);
 
 /// Socket/worker knobs common to every frame service (the subset of
 /// ServerOptions that is about the transport, not the labels).
@@ -80,38 +69,27 @@ struct TransportOptions {
   unsigned workers = 4;
   /// listen(2) backlog (<= 0 coerced to 64 at start()).
   int listen_backlog = 64;
-  /// Receive deadline, milliseconds; 0 disables. Reactor plane: enforced by
-  /// the event loop's timing wheel — a connection idle (or stalled
-  /// mid-frame) past the deadline with no request in flight is evicted
-  /// with a TIMEOUT frame. Thread-per-connection plane: SO_RCVTIMEO.
+  /// Receive deadline, milliseconds; 0 disables. Enforced by the event
+  /// loop's timing wheel: a connection idle (or stalled mid-frame) past the
+  /// deadline with no request in flight is evicted with a TIMEOUT frame.
   unsigned recv_timeout_ms = 0;
-  /// Send deadline, milliseconds; 0 disables. Reactor plane: a connection
-  /// whose write buffer has made no progress for this long (peer stopped
-  /// reading) is torn down. Thread-per-connection plane: SO_SNDTIMEO.
+  /// Send deadline, milliseconds; 0 disables. A connection whose write
+  /// buffer has made no progress for this long (peer stopped reading) is
+  /// torn down.
   unsigned send_timeout_ms = 0;
-  /// Admission-control depth. Reactor plane: *requests* (not connections)
-  /// allowed to wait for a worker beyond the `workers` already being
-  /// served; an arrival past the bound is shed with a per-request
-  /// OVERLOADED reply and the connection stays open. Thread-per-connection
-  /// plane: connections allowed to wait for a worker before new ones are
-  /// shed (and closed) — the historical semantics.
-  std::size_t max_queued_connections = ThreadPool::kUnboundedQueue;
+  /// Admission-control depth: *requests* allowed to wait for a worker
+  /// beyond the `workers` already being served. An arrival past the bound
+  /// is shed with a per-request OVERLOADED reply and the connection stays
+  /// open. kUnboundedQueue disables shedding.
+  std::size_t max_queued_requests = kUnboundedQueue;
   /// How long stop() waits for in-flight requests to finish before tearing
   /// connections down, milliseconds. 0 = hard stop.
   unsigned drain_deadline_ms = 0;
-  DataPlane data_plane = DataPlane::kEpollReactor;
-  /// Event-loop threads (reactor plane only; 0 coerced to 1). Connections
-  /// are assigned round-robin and never migrate. Note that fault-set
-  /// batching coalesces within one reactor: >1 reactors trade perfect
-  /// flash-crowd coalescing for read/write parallelism.
+  /// Event-loop threads (0 coerced to 1). Connections are assigned
+  /// round-robin and never migrate. Fault-set coalescing works within one
+  /// reactor: >1 reactors trade perfect flash-crowd coalescing for
+  /// read/write parallelism.
   unsigned reactor_threads = 1;
-  /// Fault-set coalescing control (reactor plane only). Same-key requests
-  /// arriving while a prepare is in flight park and ride its completion —
-  /// one prepare serves the crowd, and a parked request waits at most the
-  /// leader's handle() time (itself bounded by request_deadline_ms). The
-  /// window is the parking horizon for a group stranded with no job in
-  /// flight (possible via the shed path); 0 disables coalescing entirely.
-  unsigned batch_window_us = 100;
   /// Watchdog sampling interval, milliseconds; 0 disables the watchdog
   /// thread entirely. Each sample checks that every reactor loop has
   /// iterated and that a saturated worker pool is still retiring jobs.
@@ -134,8 +112,8 @@ class FrameServer {
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  /// Bind, listen on 127.0.0.1, spawn the data plane (reactor threads or
-  /// accept thread) + workers. Throws std::runtime_error on socket failure.
+  /// Bind, listen on 127.0.0.1, spawn the reactor threads + workers.
+  /// Throws std::runtime_error on socket failure.
   void start();
 
   /// Begin draining: close the listener (no new connections), keep serving
@@ -161,12 +139,6 @@ class FrameServer {
   /// Bound port (valid after start()).
   std::uint16_t port() const noexcept { return port_; }
 
-  /// Which data plane serves the sockets ("reactor" | "thread"), for the
-  /// HEALTH reply's plane= field.
-  const char* plane_name() const noexcept {
-    return transport_.data_plane == DataPlane::kEpollReactor ? "reactor"
-                                                             : "thread";
-  }
   /// Whole seconds since start() finished (0 before).
   std::uint64_t uptime_s() const noexcept;
   /// Currently open client connections (the fsdl_open_connections gauge).
@@ -191,13 +163,6 @@ class FrameServer {
  private:
   friend class Reactor;
 
-  // --- thread-per-connection plane ---
-  void accept_loop();
-  void serve_connection(int fd);
-  void track(int fd);
-  void untrack(int fd);
-
-  // --- reactor plane ---
   /// Admitted requests allowed to be pending at once (workers currently
   /// serving + the waiting line), or SIZE_MAX when unbounded.
   std::size_t pending_cap() const;
@@ -207,20 +172,17 @@ class FrameServer {
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::unique_ptr<ThreadPool> pool_;
-  std::thread accept_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_done_{false};
-  /// Requests admitted but not yet answered — what both drain and the
-  /// reactor plane's admission control count.
+  /// Requests admitted but not yet answered — what both drain and
+  /// admission control count.
   std::atomic<int> in_flight_{0};
-  // Written by start()/stop(), read by the data-plane threads.
+  // Written by start()/stop(), read by the reactor threads.
   std::atomic<int> listen_fd_{-1};
   /// Round-robin cursor for placing accepted connections onto reactors.
   std::atomic<unsigned> next_reactor_{0};
   std::uint16_t port_ = 0;
-  std::mutex conn_mu_;
-  std::unordered_set<int> conn_fds_;
 
   std::thread watchdog_thread_;
   std::mutex watchdog_mu_;

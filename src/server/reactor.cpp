@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -36,8 +37,6 @@ constexpr int kMaxReadBursts = 4;
 constexpr std::uint8_t kTimerRead = 0;
 constexpr std::uint8_t kTimerWrite = 1;
 
-constexpr std::uint64_t kNoBatchKey = 0;
-
 std::uint64_t now_us() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -47,7 +46,7 @@ std::uint64_t now_us() {
 
 /// accept() errnos that mean "try again shortly", not "the listener is
 /// dead": fd exhaustion, a connection reset before we got to it, transient
-/// resource pressure. (Same set as the thread-per-connection plane.)
+/// resource pressure.
 bool transient_accept_errno(int err) {
   switch (err) {
     case EMFILE:
@@ -165,22 +164,11 @@ void Reactor::post_key_done(std::uint64_t key) {
 }
 
 int Reactor::epoll_timeout_ms() const {
-  // Wake for the earliest of: the wheel's next window, a stranded group's
-  // rescue deadline; cap at 100ms so flag flips are never missed for long
-  // (stop and drain also write the eventfd, this is belt-and-braces).
-  // Groups with a job in flight are excluded: nothing can be done for
-  // them until KeyDone, and KeyDone wakes the eventfd — counting their
-  // deadline here would spin the loop against the very worker it awaits.
-  std::uint64_t due = wheel_.empty() ? 0 : wheel_.next_tick_us();
-  if (follower_count_ > 0) {
-    for (const auto& [key, b] : batches_) {
-      if (!b.followers.empty() && b.jobs_in_flight == 0 &&
-          b.flush_at_us != 0 && (due == 0 || b.flush_at_us < due)) {
-        due = b.flush_at_us;
-      }
-    }
-  }
-  if (due == 0) return 100;
+  // Wake for the wheel's next window; cap at 100ms so flag flips are never
+  // missed for long (stop and drain also write the eventfd, this is
+  // belt-and-braces).
+  if (wheel_.empty()) return 100;
+  const std::uint64_t due = wheel_.next_tick_us();
   const std::uint64_t now = now_us();
   if (due <= now) return 0;
   const std::uint64_t delta_ms = (due - now + 999) / 1000;
@@ -237,10 +225,6 @@ void Reactor::loop() {
       wheel_.advance(now, [this](const TimerWheel::Entry& e) { on_timer(e); });
       worked = worked || wheel_.size() != before;
     }
-    if (follower_count_ > 0) {
-      flush_due_batches(now);
-      worked = true;
-    }
     // Un-pause accepting after a transient-errno backoff window.
     if (listen_fd_ >= 0 && accept_paused_until_us_ != 0 &&
         now >= accept_paused_until_us_) {
@@ -296,21 +280,15 @@ void Reactor::drain_mailbox() {
   for (std::uint64_t key : key_done) {
     auto it = batches_.find(key);
     if (it == batches_.end()) continue;
-    Batch& b = it->second;
-    b.jobs_in_flight -= 1;
-    if (!b.followers.empty() && !stopping) {
-      // The leader's prepare is now cached: flush the whole group as one
-      // sequential job — every member is a PreparedCache hit.
-      std::vector<Pending> group;
-      group.swap(b.followers);
-      follower_count_ -= group.size();
-      b.flush_at_us = 0;
-      b.jobs_in_flight += 1;
-      dispatch(std::move(group), true, key);
-    } else if (b.jobs_in_flight == 0) {
-      follower_count_ -= b.followers.size();
-      batches_.erase(it);
-    }
+    std::vector<Pending> followers = std::move(it->second);
+    batches_.erase(it);
+    if (stopping || followers.empty()) continue;
+    // The leader's prepare is now cached: every follower is a
+    // PreparedCache hit, so each runs as its own pool job and the crowd
+    // spreads over every worker. A later same-key arrival leads afresh
+    // (and cache-hits its prepare too).
+    owner_.metrics_.record_batch(static_cast<double>(followers.size()));
+    for (auto& p : followers) dispatch(std::move(p), std::nullopt);
   }
 }
 
@@ -514,115 +492,57 @@ void Reactor::admit(const ConnPtr& c, Request&& req) {
   owner_.in_flight_.fetch_add(1, std::memory_order_acq_rel);
 
   const bool batchable =
-      owner_.transport_.batch_window_us > 0 &&
       (p.req.opcode == Opcode::kDist || p.req.opcode == Opcode::kBatch) &&
       !p.req.faults.empty();
   if (!batchable) {
-    std::vector<Pending> group;
-    group.push_back(std::move(p));
-    dispatch(std::move(group), false, kNoBatchKey);
+    dispatch(std::move(p), std::nullopt);
     return;
   }
 
   const std::uint64_t key = fault_hash(canonical_key(p.req.faults));
-  Batch& b = batches_[key];
-  if (b.jobs_in_flight == 0) {
-    // Leader: dispatch immediately — it performs (or cache-hits) the
-    // prepare. No waiting at low concurrency.
-    b.jobs_in_flight = 1;
-    std::vector<Pending> group;
-    group.push_back(std::move(p));
-    dispatch(std::move(group), true, key);
-  } else {
+  if (auto it = batches_.find(key); it != batches_.end()) {
     // Follower: the prepare for this key is already in flight; ride it.
-    b.followers.push_back(std::move(p));
-    follower_count_ += 1;
-    if (b.flush_at_us == 0) {
-      b.flush_at_us = now_us() + owner_.transport_.batch_window_us;
-    }
+    it->second.push_back(std::move(p));
+    return;
   }
+  // Leader: dispatch immediately — it performs (or cache-hits) the
+  // prepare. No waiting at low concurrency.
+  batches_.emplace(key, std::vector<Pending>{});
+  owner_.metrics_.record_batch(1.0);
+  dispatch(std::move(p), key);
 }
 
-void Reactor::flush_due_batches(std::uint64_t now) {
-  // Two passes: dispatch() may erase map entries on a refused submit, so
-  // collect the due keys before touching the map structurally.
-  std::vector<std::uint64_t> due;
-  for (auto& [key, b] : batches_) {
-    if (!b.followers.empty() && b.jobs_in_flight == 0 &&
-        b.flush_at_us != 0 && b.flush_at_us <= now) {
-      due.push_back(key);
-    }
+void Reactor::dispatch(Pending&& p, std::optional<std::uint64_t> leader_key) {
+  auto job = std::make_shared<Pending>(std::move(p));
+  if (owner_.pool_->submit(
+          [this, job, leader_key] { run(*job, leader_key); })) {
+    return;
   }
-  for (std::uint64_t key : due) {
-    auto it = batches_.find(key);
-    if (it == batches_.end()) continue;
-    Batch& b = it->second;
-    // Rescue path only: followers normally flush at the in-flight job's
-    // KeyDone, which is what makes a flash crowd cost one prepare. While
-    // a job is in flight, dispatching the group early would race it and
-    // pay the prepare twice — so an expired window defers to KeyDone.
-    // The sweep fires only for a *stranded* group (no job in flight),
-    // which can happen when the shed path in dispatch() dropped the
-    // leader's job after followers had already parked.
-    if (b.jobs_in_flight > 0) continue;
-    std::vector<Pending> group;
-    group.swap(b.followers);
-    follower_count_ -= group.size();
-    b.flush_at_us = 0;
-    b.jobs_in_flight += 1;
-    dispatch(std::move(group), true, key);
-  }
+  // The pool refuses only after shutdown(), which follows every reactor's
+  // join, so this is a backstop: shed the request, keep the connection.
+  // A refused leader has no followers yet (they park on a later turn of
+  // this loop), so forgetting its key strands nobody.
+  owner_.metrics_.record_failure(FailureCounter::kSheds);
+  job->conn->inflight -= 1;
+  owner_.in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  if (leader_key) batches_.erase(*leader_key);
+  enqueue_response(job->conn, job->seq,
+                   frame(encode_response(error_response(
+                       "server overloaded, retry later",
+                       Status::kOverloaded))));
 }
 
-void Reactor::dispatch(std::vector<Pending>&& group, bool keyed,
-                       std::uint64_t key) {
-  if (keyed) {
-    owner_.metrics_.record_batch(static_cast<double>(group.size()));
-  }
-  auto shared = std::make_shared<std::vector<Pending>>(std::move(group));
-  const bool queued = owner_.pool_->submit(
-      [this, shared, keyed, key] { run_group(*shared, keyed, key); });
-  if (queued) return;
-  // Pool refused (shutdown underway, or a bounded queue as backstop):
-  // shed each request individually; the connection survives.
-  for (auto& p : *shared) {
-    owner_.metrics_.record_failure(FailureCounter::kSheds);
-    p.conn->inflight -= 1;
-    owner_.in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (p.conn->closed) continue;
-    enqueue_response(p.conn, p.seq,
-                     frame(encode_response(error_response(
-                         "server overloaded, retry later",
-                         Status::kOverloaded))));
-    try_flush(p.conn);
-  }
-  if (keyed) {
-    auto it = batches_.find(key);
-    if (it != batches_.end()) {
-      it->second.jobs_in_flight -= 1;
-      if (it->second.jobs_in_flight == 0 && it->second.followers.empty()) {
-        batches_.erase(it);
-      }
-    }
-  }
-}
-
-void Reactor::run_group(std::vector<Pending>& group, bool keyed,
-                        std::uint64_t key) {
-  // Worker thread. Requests in a keyed group share a fault set: the first
-  // handle() pays (or cache-hits) the prepare, the rest hit the
-  // PreparedCache by construction. Conn is only carried, never read.
-  for (auto& p : group) {
-    Response resp = owner_.handle(p.req);
-    if (!resp.answered()) owner_.metrics_.record_error();
-    Completion comp;
-    comp.conn = p.conn;
-    comp.seq = p.seq;
-    comp.wire = frame(encode_response(resp));
-    owner_.in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    post_completion(std::move(comp));
-  }
-  if (keyed) post_key_done(key);
+void Reactor::run(Pending& p, std::optional<std::uint64_t> leader_key) {
+  // Worker thread. Conn is only carried, never read.
+  Response resp = owner_.handle(p.req);
+  if (!resp.answered()) owner_.metrics_.record_error();
+  Completion comp;
+  comp.conn = p.conn;
+  comp.seq = p.seq;
+  comp.wire = frame(encode_response(resp));
+  owner_.in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  post_completion(std::move(comp));
+  if (leader_key) post_key_done(*leader_key);
 }
 
 void Reactor::respond_inline(const ConnPtr& c, const Response& resp) {

@@ -5,16 +5,16 @@
 // hold a shared_ptr<Conn> purely as an identity token to route completions
 // back, never dereferencing it for mutable state. Cross-thread traffic
 // goes through one mutex-protected mailbox (adopted fds, finished
-// responses, batch-key releases) flushed after an eventfd wakeup — the
+// responses, leader completions) flushed after an eventfd wakeup — the
 // only lock on the data path, held for a pointer swap.
 //
 // Responses can finish out of order (different pool jobs), but the wire is
 // a sequential protocol: each decoded request gets a per-connection
 // sequence number at admission, completions park in Conn::done until their
 // turn, and the reactor alone appends to the write buffer — so a client
-// always reads answers in the order it sent requests, batching or not.
+// always reads answers in the order it sent requests, coalesced or not.
 //
-// See frame_server.hpp for the architecture overview and the batching
+// See frame_server.hpp for the architecture overview and the coalescing
 // semantics; timer_wheel.hpp for how deadlines fire.
 #pragma once
 
@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -84,13 +85,6 @@ class Reactor {
     std::vector<std::uint8_t> wire;  // framed, ready for the socket
   };
 
-  /// Follower bookkeeping for one fault-set key (see frame_server.hpp).
-  struct Batch {
-    int jobs_in_flight = 0;
-    std::vector<Pending> followers;
-    std::uint64_t flush_at_us = 0;  // 0 = no pending flush deadline
-  };
-
   void loop();
   void handle_accept();
   void register_conn(int fd);
@@ -98,8 +92,10 @@ class Reactor {
   void on_writable(const ConnPtr& c);
   void process_frames(const ConnPtr& c);
   void admit(const ConnPtr& c, Request&& req);
-  void dispatch(std::vector<Pending>&& group, bool keyed, std::uint64_t key);
-  void run_group(std::vector<Pending>& group, bool keyed, std::uint64_t key);
+  /// Submit one request as its own pool job. A `leader_key` marks the
+  /// fault-set leader, whose job posts a KeyDone when it finishes.
+  void dispatch(Pending&& p, std::optional<std::uint64_t> leader_key);
+  void run(Pending& p, std::optional<std::uint64_t> leader_key);
   /// Queue a locally produced response (shed/error/eviction) in order.
   void respond_inline(const ConnPtr& c, const Response& resp);
   void enqueue_response(const ConnPtr& c, std::uint64_t seq,
@@ -109,7 +105,6 @@ class Reactor {
   void close_conn(const ConnPtr& c);
   void drain_mailbox();
   void on_timer(const TimerWheel::Entry& e);
-  void flush_due_batches(std::uint64_t now);
   int epoll_timeout_ms() const;
 
   void post_completion(Completion&& comp);  // worker threads
@@ -127,8 +122,9 @@ class Reactor {
 
   std::unordered_map<int, ConnPtr> conns_;
   TimerWheel wheel_;
-  std::unordered_map<std::uint64_t, Batch> batches_;
-  std::size_t follower_count_ = 0;
+  /// Fault-set keys whose leader is in flight, each with the same-key
+  /// followers parked behind it (see frame_server.hpp).
+  std::unordered_map<std::uint64_t, std::vector<Pending>> batches_;
 
   std::mutex mail_mu_;
   std::vector<int> mail_fds_;

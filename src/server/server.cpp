@@ -26,11 +26,9 @@ TransportOptions Server::transport_of(const ServerOptions& options) {
   t.listen_backlog = options.listen_backlog;
   t.recv_timeout_ms = options.recv_timeout_ms;
   t.send_timeout_ms = options.send_timeout_ms;
-  t.max_queued_connections = options.max_queued_connections;
+  t.max_queued_requests = options.max_queued_requests;
   t.drain_deadline_ms = options.drain_deadline_ms;
-  t.data_plane = options.data_plane;
   t.reactor_threads = options.reactor_threads;
-  t.batch_window_us = options.batch_window_us;
   t.watchdog_interval_ms = options.watchdog_interval_ms;
   t.watchdog_stall_ms = options.watchdog_stall_ms;
   t.watchdog_abort_ms = options.watchdog_abort_ms;
@@ -133,10 +131,10 @@ std::string Server::health_text() const {
   const shard::PartitionInfo& part = snap->partition();
   char buf[192];
   std::snprintf(buf, sizeof buf,
-                "%s epoch=%" PRIu64 " n=%u shard=%u/%u plane=%s uptime_s=%" PRIu64
+                "%s epoch=%" PRIu64 " n=%u shard=%u/%u uptime_s=%" PRIu64
                 " conns=%" PRId64,
                 state, snap->epoch(), snap->oracle().scheme().num_vertices(),
-                part.shard_id, part.shard_count, plane_name(), uptime_s(),
+                part.shard_id, part.shard_count, uptime_s(),
                 open_connections());
   return buf;
 }

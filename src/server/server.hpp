@@ -4,11 +4,11 @@
 // Architecture (one box, the §1 "centralized oracle" deployed):
 //
 //   FrameServer transport ──► handle() ──► shared ForbiddenSetOracle
-//    (accept thread, pool,      │                  (immutable labels)
+//    (reactors, pool,           │                  (immutable labels)
 //     deadlines, drain —        ├─► PreparedCache (LRU of PreparedFaults)
 //     server/frame_server.hpp)  └─► Metrics (counters + histograms)
 //
-// The transport — accept loop with transient-errno backoff, admission
+// The transport — accept path with transient-errno backoff, admission
 // control (OVERLOADED sheds), per-connection deadlines, frame CRC
 // handling, graceful drain with a HEALTH exemption — lives in the
 // FrameServer base class and is shared verbatim with the scatter-gather
@@ -39,7 +39,6 @@
 #include "server/metrics.hpp"
 #include "server/prepared_cache.hpp"
 #include "server/protocol.hpp"
-#include "server/thread_pool.hpp"
 
 namespace fsdl::server {
 
@@ -55,35 +54,27 @@ struct ServerOptions {
   /// listen(2) backlog. Connections beyond it queue in the kernel (or are
   /// refused), before user-space admission control even sees them.
   int listen_backlog = 64;
-  /// Socket receive deadline per recv() call, milliseconds; 0 disables.
-  /// When it fires the connection is evicted with a TIMEOUT frame — this is
-  /// both the slowloris defense (partial frame, no progress) and the idle
-  /// reaper (connection holding a worker without traffic).
+  /// Receive deadline, milliseconds; 0 disables. A connection with no
+  /// request in flight that sends nothing for this long is evicted with a
+  /// TIMEOUT frame — both the slowloris defense (partial frame, no
+  /// progress) and the idle reaper. See TransportOptions::recv_timeout_ms.
   unsigned recv_timeout_ms = 0;
-  /// Socket send deadline, milliseconds; 0 disables. A peer that stops
-  /// reading cannot wedge a worker forever.
+  /// Send deadline, milliseconds; 0 disables. A connection whose peer
+  /// stops reading (write buffer stuck this long) is torn down.
   unsigned send_timeout_ms = 0;
   /// Compute budget for one DIST/BATCH request, milliseconds; 0 disables.
   /// Exceeding it returns a TIMEOUT response instead of the distances.
   double request_deadline_ms = 0.0;
-  /// Admission-control depth beyond `workers` (see
-  /// TransportOptions::max_queued_connections): pending *requests* on the
-  /// reactor plane (a shed is one OVERLOADED reply, connection kept),
-  /// waiting *connections* on the thread-per-connection plane. Default:
-  /// unbounded (historical behavior).
-  std::size_t max_queued_connections = ThreadPool::kUnboundedQueue;
+  /// Admission-control depth: pending *requests* allowed beyond `workers`
+  /// before an arrival is shed with one OVERLOADED reply (the connection
+  /// stays open). See TransportOptions::max_queued_requests. Default:
+  /// unbounded.
+  std::size_t max_queued_requests = kUnboundedQueue;
   /// How long stop() waits for in-flight requests to finish before tearing
   /// connections down, milliseconds. 0 = hard stop (historical behavior).
   unsigned drain_deadline_ms = 0;
-  /// Transport implementation: the epoll reactor (default) or the
-  /// historical blocking thread-per-connection plane (A/B benchmarking).
-  DataPlane data_plane = DataPlane::kEpollReactor;
-  /// Event-loop threads for the reactor plane (0 coerced to 1).
+  /// Event-loop threads (0 coerced to 1).
   unsigned reactor_threads = 1;
-  /// Fault-set batching window, microseconds; 0 disables coalescing. See
-  /// TransportOptions::batch_window_us — leaders never wait, so this only
-  /// bounds how long same-key followers ride behind a slow cold prepare.
-  unsigned batch_window_us = 100;
   /// Watchdog knobs, forwarded to TransportOptions (see frame_server.hpp):
   /// sampling interval (0 disables), stall window (counts a stall + flips
   /// HEALTH to "degraded"), and the opt-in hard-wedge SIGABRT threshold.

@@ -637,9 +637,9 @@ std::string Router::health_text() const {
                                            : "ready";
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "%s n=%u shards=%u plane=%s uptime_s=%" PRIu64
+                "%s n=%u shards=%u uptime_s=%" PRIu64
                 " conns=%" PRId64,
-                state, total_n_, shard_count(), plane_name(), uptime_s(),
+                state, total_n_, shard_count(), uptime_s(),
                 open_connections());
   return buf;
 }

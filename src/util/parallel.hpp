@@ -1,10 +1,10 @@
 // Fork-join parallelism for CPU-bound loops (the label builder's two
 // per-level fan-outs; usable by any caller with independent iterations).
 //
-// Split out of the server's ThreadPool (now util/thread_pool.*): the pool
-// keeps its blocking-queue semantics for long-lived connection jobs, while
-// parallel_for is the fire-and-join shape construction wants — no queue, no
-// std::function per item in the steady state, workers die with the call.
+// Complements ThreadPool (util/thread_pool.*): the pool keeps a blocking
+// queue for the server's per-request jobs, while parallel_for is the
+// fire-and-join shape construction wants — no queue, no std::function per
+// item in the steady state, workers die with the call.
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,7 @@
 
 namespace fsdl {
 
-ThreadPool::ThreadPool(unsigned num_threads, std::size_t max_queue)
-    : max_queue_(max_queue) {
+ThreadPool::ThreadPool(unsigned num_threads) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (unsigned k = 0; k < num_threads; ++k) {
@@ -17,16 +16,6 @@ bool ThreadPool::submit(std::function<void()> job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
-    // Saturated: the waiting line is at its bound after the idle workers
-    // absorb the jobs already queued ahead of them. Jobs queued but not yet
-    // claimed must count against the idle capacity, or a burst submitted
-    // before any worker wakes bypasses the bound entirely. Reject
-    // synchronously (the caller sheds) instead of hiding the overload as
-    // unbounded queueing delay.
-    if (max_queue_ != kUnboundedQueue &&
-        queue_.size() >= idle_workers_ + max_queue_) {
-      return false;
-    }
     queue_.push_back(std::move(job));
   }
   cv_.notify_one();
@@ -59,9 +48,7 @@ void ThreadPool::worker_loop() {
     std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      ++idle_workers_;
       cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-      --idle_workers_;
       if (queue_.empty()) return;  // closed_ and drained
       job = std::move(queue_.front());
       queue_.pop_front();

@@ -1,9 +1,9 @@
-// Fixed-size worker pool with a blocking job queue.
+// Fixed-size worker pool with an unbounded blocking job queue.
 //
-// Lived in src/server/ originally; hoisted into util/ so it sits next to
-// parallel_for as the long-lived-job half of the threading toolkit. The
-// server's dispatch layer (fsdl::server::ThreadPool) is an alias of this
-// class and keeps its submit/shutdown queue semantics unchanged.
+// Sits next to parallel_for as the long-lived-job half of the threading
+// toolkit; the server's reactors dispatch every decoded request through
+// one. Admission control is the caller's business (the server counts
+// pending requests itself), so the queue never refuses live work.
 #pragma once
 
 #include <atomic>
@@ -20,24 +20,16 @@ namespace fsdl {
 
 class ThreadPool {
  public:
-  /// No queue bound (the historical behavior).
-  static constexpr std::size_t kUnboundedQueue = static_cast<std::size_t>(-1);
-
-  /// `max_queue` bounds the number of *waiting* jobs (jobs submitted while
-  /// every worker is busy); 0 means a job is only accepted when a worker is
-  /// free to take it. A bounded queue is the admission-control half of load
-  /// shedding: the caller learns synchronously that the pool is saturated
-  /// instead of queueing latency invisibly.
-  explicit ThreadPool(unsigned num_threads,
-                      std::size_t max_queue = kUnboundedQueue);
+  /// `num_threads` workers (0 coerced to 1).
+  explicit ThreadPool(unsigned num_threads);
   /// Drains outstanding jobs, then joins.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a job. Returns false (job dropped) after shutdown() began or
-  /// when a bounded queue is full.
+  /// Enqueue a job. Returns false (job dropped) only after shutdown()
+  /// began.
   bool submit(std::function<void()> job);
 
   /// Stop accepting jobs, finish queued ones, join all workers. Idempotent.
@@ -64,8 +56,6 @@ class ThreadPool {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
-  std::size_t max_queue_ = 0;
-  std::size_t idle_workers_ = 0;
   std::size_t active_ = 0;
   std::atomic<std::uint64_t> completed_{0};
   bool closed_ = false;

@@ -17,8 +17,8 @@
 #include "graph/generators.hpp"
 #include "server/metrics.hpp"
 #include "server/prepared_cache.hpp"
-#include "server/thread_pool.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fsdl {
 namespace {
@@ -240,7 +240,7 @@ TEST(MetricsTest, ConcurrentRecordingAcrossStripes) {
 }
 
 TEST(ThreadPoolTest, RunsAllJobsAcrossWorkers) {
-  server::ThreadPool pool(4);
+  ThreadPool pool(4);
   std::atomic<int> sum{0};
   for (int k = 1; k <= 100; ++k) {
     ASSERT_TRUE(pool.submit([&sum, k] { sum.fetch_add(k); }));
@@ -252,7 +252,7 @@ TEST(ThreadPoolTest, RunsAllJobsAcrossWorkers) {
 }
 
 TEST(ThreadPoolTest, ShutdownIsIdempotent) {
-  server::ThreadPool pool(2);
+  ThreadPool pool(2);
   std::atomic<int> ran{0};
   pool.submit([&ran] { ran.fetch_add(1); });
   pool.shutdown();

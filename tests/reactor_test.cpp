@@ -1,7 +1,7 @@
-// Tests for the epoll reactor data plane (server/reactor.*): frame
-// reassembly across wakeups, pipelined response ordering, slow-reader
-// write backpressure, timer-wheel deadline eviction, cross-request
-// fault-set batching, and the preserved thread-per-connection plane.
+// Tests for the epoll reactor (server/reactor.*): frame reassembly across
+// wakeups, pipelined response ordering, slow-reader write backpressure,
+// timer-wheel deadline eviction, cross-request fault-set coalescing, and
+// the watchdog's worker-wedge detection.
 // Real sockets throughout; gates (not sleeps) wherever an ordering is
 // load-bearing.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +26,8 @@ namespace fsdl {
 namespace {
 
 /// Blocks DIST handling on a gate until release(): pins requests in
-/// flight so admission/batching states are reached deterministically.
+/// flight so admission/coalescing states are reached deterministically.
+/// Also records how many DIST calls were inside handle() at once.
 class GatedServer : public server::Server {
  public:
   GatedServer(const ForbiddenSetOracle& oracle,
@@ -35,18 +35,47 @@ class GatedServer : public server::Server {
       : server::Server(oracle, options) {}
 
   server::Response handle(const server::Request& req) override {
-    if (req.opcode == server::Opcode::kDist) {
-      entered_.fetch_add(1);
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return open_; });
+    if (req.opcode != server::Opcode::kDist) {
+      return server::Server::handle(req);
     }
-    return server::Server::handle(req);
+    entered_.fetch_add(1);
+    const int inside = inside_.fetch_add(1) + 1;
+    int peak = peak_inside_.load();
+    while (peak < inside && !peak_inside_.compare_exchange_weak(peak, inside)) {
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return open_ || passes_ > 0; });
+      if (!open_) --passes_;
+    }
+    server::Response resp = server::Server::handle(req);
+    inside_.fetch_sub(1);
+    return resp;
   }
 
   void wait_entered(int n) {
     while (entered_.load() < n) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+  }
+
+  /// wait_entered() that gives up after `limit`; true if `n` entered.
+  bool wait_entered_for(int n, std::chrono::milliseconds limit) {
+    const auto give_up = std::chrono::steady_clock::now() + limit;
+    while (entered_.load() < n) {
+      if (std::chrono::steady_clock::now() >= give_up) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  /// Let exactly one gated call through; the gate stays shut for the rest.
+  void release_one() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      passes_ += 1;
+    }
+    cv_.notify_all();
   }
 
   void release() {
@@ -57,11 +86,17 @@ class GatedServer : public server::Server {
     cv_.notify_all();
   }
 
+  /// Most DIST calls ever inside handle() at the same time.
+  int peak_inside() const { return peak_inside_.load(); }
+
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   bool open_ = false;
+  int passes_ = 0;
   std::atomic<int> entered_{0};
+  std::atomic<int> inside_{0};
+  std::atomic<int> peak_inside_{0};
 };
 
 /// Answers every DIST with a fixed-size payload — cheap to produce, big
@@ -280,7 +315,6 @@ TEST_F(ReactorTest, SameKeyRequestsCoalesceIntoOneBatch) {
   server::ServerOptions options;
   options.workers = 4;
   options.reactor_threads = 1;
-  options.batch_window_us = 500000;  // flush rides KeyDone, not the window
   GatedServer srv(*oracle_, options);
   srv.start();
 
@@ -305,9 +339,17 @@ TEST_F(ReactorTest, SameKeyRequestsCoalesceIntoOneBatch) {
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_EQ(srv.peak_inside(), 1) << "a follower dispatched before KeyDone";
+
+  // Only the leader passes. Its KeyDone releases the followers, each as its
+  // own pool job: with 4 workers they reach the shut gate side by side.
+  srv.release_one();
+  EXPECT_TRUE(srv.wait_entered_for(4, std::chrono::seconds(5)))
+      << "followers did not run concurrently";
   srv.release();
   leader.join();
   for (auto& t : followers) t.join();
+  EXPECT_GE(srv.peak_inside(), 2);
 
   // One leader group of 1 + one follower group of 3; the fault set was
   // prepared exactly once (followers are cache hits by construction).
@@ -319,50 +361,13 @@ TEST_F(ReactorTest, SameKeyRequestsCoalesceIntoOneBatch) {
   srv.stop();
 }
 
-TEST_F(ReactorTest, ZeroWindowDisablesCoalescing) {
-  server::ServerOptions options;
-  options.batch_window_us = 0;
-  server::Server srv(*oracle_, options);
-  srv.start();
-  auto client = connect_to(srv);
-  FaultSet faults;
-  faults.add_vertex(7);
-  EXPECT_EQ(client.dist(0, 1, faults), oracle_->distance(0, 1, faults));
-  EXPECT_EQ(client.dist(0, 2, faults), oracle_->distance(0, 2, faults));
-  // No keyed dispatches at all: the batching machinery is fully bypassed.
-  EXPECT_EQ(srv.metrics().batch_groups(), 0u);
-  srv.stop();
-}
-
-TEST_F(ReactorTest, LegacyPlaneStillShedsWholeConnections) {
-  // The preserved thread-per-connection plane keeps its historical
-  // semantics: a connection beyond capacity is shed with OVERLOADED and
-  // closed (admission is per connection there, not per request).
-  server::ServerOptions options;
-  options.data_plane = server::DataPlane::kThreadPerConnection;
-  options.workers = 1;
-  options.max_queued_connections = 0;
-  server::Server srv(*oracle_, options);
-  srv.start();
-
-  auto holder = connect_to(srv);
-  EXPECT_EQ(holder.dist(0, 0, FaultSet{}), 0u);
-
-  auto shed = connect_to(srv);
-  const auto resp = shed.read_response();
-  EXPECT_EQ(resp.status, server::Status::kOverloaded);
-  EXPECT_THROW(shed.read_response(), std::runtime_error);  // closed
-  EXPECT_GE(srv.metrics().failure_total(server::FailureCounter::kSheds), 1u);
-  srv.stop();
-}
-
 TEST_F(ReactorTest, WatchdogCountsWorkerWedgeAndFlipsHealthDegraded) {
-  // Wedge the worker pool for real: one held DIST pins the only worker, a
-  // second connection waits in the queue — every worker busy, work queued,
-  // zero jobs retiring. That is the watchdog's wedge signature; saturation
-  // alone (busy workers, empty queue) must never trip it.
+  // Wedge the worker pool for real: one held DIST pins the only worker, and
+  // a second DIST with no faults (not coalescable, so it is its own pool
+  // job) waits in the queue — every worker busy, work queued, zero jobs
+  // retiring. That is the watchdog's wedge signature; saturation alone
+  // (busy workers, empty queue) must never trip it.
   server::ServerOptions options;
-  options.data_plane = server::DataPlane::kThreadPerConnection;
   options.workers = 1;
   options.watchdog_interval_ms = 10;
   options.watchdog_stall_ms = 60;
@@ -370,8 +375,8 @@ TEST_F(ReactorTest, WatchdogCountsWorkerWedgeAndFlipsHealthDegraded) {
   srv.start();
 
   const auto wire = server::frame(encode_request(dist_request(0, 1)));
-  std::optional<server::Client> held(connect_to(srv));
-  held->send_raw(wire.data(), wire.size());
+  auto held = connect_to(srv);
+  held.send_raw(wire.data(), wire.size());
   srv.wait_entered(1);
   auto queued = connect_to(srv);
   queued.send_raw(wire.data(), wire.size());
@@ -386,11 +391,10 @@ TEST_F(ReactorTest, WatchdogCountsWorkerWedgeAndFlipsHealthDegraded) {
   EXPECT_GE(srv.metrics().worker_stalls(), 1u);
   EXPECT_EQ(srv.health_text().rfind("degraded", 0), 0u) << srv.health_text();
 
-  // Unwedge: the held request answers, its connection closes to free the
-  // worker for the queued one, and the watchdog walks HEALTH back to ready.
+  // Unwedge: the held request answers, the worker takes the queued one,
+  // and the watchdog walks HEALTH back to ready.
   srv.release();
-  EXPECT_TRUE(held->read_response().ok());
-  held.reset();
+  EXPECT_TRUE(held.read_response().ok());
   EXPECT_TRUE(queued.read_response().ok());
   while (srv.watchdog_degraded() &&
          std::chrono::steady_clock::now() < give_up) {

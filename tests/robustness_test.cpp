@@ -138,12 +138,11 @@ TEST_F(RobustnessTest, SlowlorisEvictedMidFrame) {
 
 TEST_F(RobustnessTest, SaturatedPoolShedsRequestButKeepsConnection) {
   // workers=1, max_queued=0: exactly one request admitted at a time. The
-  // reactor plane sheds per *request* — an OVERLOADED reply — and the
-  // connection itself survives to try again (the old thread-per-connection
-  // plane shed the whole connection; that plane keeps its own semantics).
+  // server sheds per *request* — an OVERLOADED reply — and the connection
+  // itself survives to try again.
   server::ServerOptions options;
   options.workers = 1;
-  options.max_queued_connections = 0;
+  options.max_queued_requests = 0;
   GatedServer srv(*oracle_, options);
   srv.start();
 
@@ -178,7 +177,7 @@ TEST_F(RobustnessTest, SaturatedPoolShedsRequestButKeepsConnection) {
 TEST_F(RobustnessTest, ClientRetriesThroughOverloadUntilSlotFrees) {
   server::ServerOptions options;
   options.workers = 1;
-  options.max_queued_connections = 0;
+  options.max_queued_requests = 0;
   GatedServer srv(*oracle_, options);
   srv.start();
 
@@ -286,31 +285,8 @@ TEST_F(RobustnessTest, DrainAnswersLateFramesWithDrainingAndStopsAccepting) {
   server_->stop();  // idempotent with the drain already begun
 }
 
-TEST_F(RobustnessTest, BoundedThreadPoolRejectsSynchronously) {
-  ThreadPool pool(1, 1);
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  // Occupy the worker...
-  ASSERT_TRUE(pool.submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(
-        std::chrono::milliseconds(1));
-    ran.fetch_add(1);
-  }));
-  while (pool.active_jobs() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // ...fill the one queue slot...
-  ASSERT_TRUE(pool.submit([&] { ran.fetch_add(1); }));
-  // ...and watch the bounded queue refuse the overflow instead of growing.
-  EXPECT_FALSE(pool.submit([&] { ran.fetch_add(1); }));
-  EXPECT_EQ(pool.queue_depth(), 1u);
-  release.store(true);
-  pool.shutdown();
-  EXPECT_EQ(ran.load(), 2);
-}
-
 TEST_F(RobustnessTest, UnboundedPoolKeepsHistoricalBehavior) {
-  ThreadPool pool(1);  // default kUnboundedQueue
+  ThreadPool pool(1);  // the queue never refuses live work
   std::atomic<bool> release{false};
   std::atomic<int> ran{0};
   ASSERT_TRUE(pool.submit([&] {

@@ -25,11 +25,10 @@
 //      fsdl_label_reloads_total{result=ok|crc_failed|error}; the armed
 //      points must show up in fsdl_failpoint_hits_total{point}.
 //
-//   C. Socket storm. Verified query load through a real server on both
-//      data planes while EINTR storms and short reads/writes hammer every
-//      socket site (client connect/send/recv, thread-plane send_all/recv,
-//      reactor recv/try_flush). Gate: zero violations — every answer equals
-//      the local oracle's answer on the same labeling.
+//   C. Socket storm. Verified query load through a real server while
+//      EINTR storms and short reads/writes hammer every socket site
+//      (client send/recv, reactor recv/try_flush). Gate: zero violations —
+//      every answer equals the local oracle's answer on the same labeling.
 //
 //   fsdl_crashtest [--work-dir DIR] [--seed S] [--emit-corpus DIR]
 //
@@ -451,31 +450,24 @@ void phase_b(Fixture& fix, std::uint64_t seed) {
 
 // ---------------------------------------------------------------- Phase C
 
-void phase_c(const Fixture& fix, server::DataPlane plane,
-             std::uint64_t seed) {
-  const bool reactor = plane == server::DataPlane::kEpollReactor;
+void phase_c(const Fixture& fix, std::uint64_t seed) {
   server::ServerOptions opt;
   opt.workers = 4;
   opt.cache_capacity = 32;
-  opt.data_plane = plane;
   server::Server srv(fix.old_scheme, opt);
   srv.start();
 
   // EINTR storms must use every:K >= 2: a correctly-retrying site would
   // spin forever under every:1 (the retry is itself the next hit).
-  std::string storm =
+  const std::string err = failpoint::arm(
       "client.send=short:3@every:2;client.recv=errno:EINTR@every:3;"
-      "frame_server.send=short:5@every:2;frame_server.recv=errno:EINTR@every:3";
-  if (reactor) {
-    storm += ";reactor.recv=errno:EINTR@every:3;reactor.send=short:7@every:2";
-  }
-  const std::string err = failpoint::arm(storm);
+      "reactor.recv=errno:EINTR@every:3;reactor.send=short:7@every:2");
   CHECK(err.empty(), "storm arm failed: %s", err.c_str());
 
   const ForbiddenSetOracle local(fix.old_scheme);
   server::Client client;
   client.connect("127.0.0.1", srv.port());
-  Rng rng(seed + (reactor ? 2 : 3));
+  Rng rng(seed + 2);
   const Vertex n = fix.graph.num_vertices();
   unsigned answered = 0;
   for (int q = 0; q < 250; ++q) {
@@ -495,41 +487,29 @@ void phase_c(const Fixture& fix, server::DataPlane plane,
         const std::vector<Dist> got = client.batch(pairs, f);
         for (std::size_t i = 0; i < pairs.size(); ++i) {
           CHECK(got[i] == local.distance(pairs[i].first, pairs[i].second, f),
-                "storm batch violation (%s plane) q=%d i=%zu",
-                reactor ? "reactor" : "thread", q, i);
+                "storm batch violation q=%d i=%zu", q, i);
         }
       } else {
         const Dist got = client.dist(s, t, f);
         CHECK(got == local.distance(s, t, f),
-              "storm violation (%s plane) q=%d s=%u t=%u",
-              reactor ? "reactor" : "thread", q, s, t);
+              "storm violation q=%d s=%u t=%u", q, s, t);
       }
       ++answered;
     } catch (const std::exception& e) {
-      CHECK(false, "storm query failed (%s plane) q=%d: %s",
-            reactor ? "reactor" : "thread", q, e.what());
+      CHECK(false, "storm query failed q=%d: %s", q, e.what());
     }
   }
   CHECK(answered == 250, "storm answered %u/250", answered);
   CHECK(failpoint::fires("client.send") > 0, "client.send storm never fired");
   CHECK(failpoint::fires("client.recv") > 0, "client.recv storm never fired");
-  if (reactor) {
-    CHECK(failpoint::fires("reactor.recv") > 0,
-          "reactor.recv storm never fired");
-    CHECK(failpoint::fires("reactor.send") > 0,
-          "reactor.send storm never fired");
-  } else {
-    CHECK(failpoint::fires("frame_server.recv") > 0,
-          "frame_server.recv storm never fired");
-    CHECK(failpoint::fires("frame_server.send") > 0,
-          "frame_server.send storm never fired");
-  }
+  CHECK(failpoint::fires("reactor.recv") > 0,
+        "reactor.recv storm never fired");
+  CHECK(failpoint::fires("reactor.send") > 0,
+        "reactor.send storm never fired");
   failpoint::disarm_all();
   srv.stop();
 
-  std::printf("phase C (%s plane): 250/250 storm queries answered, zero "
-              "violations\n",
-              reactor ? "reactor" : "thread");
+  std::printf("phase C: 250/250 storm queries answered, zero violations\n");
 }
 
 // ------------------------------------------------------------- corpus
@@ -618,8 +598,7 @@ int main(int argc, char** argv) {
   // no server/client threads (the label builder joins its pool).
   phase_a(fix, work_dir, seed);
   phase_b(fix, seed);
-  phase_c(fix, server::DataPlane::kThreadPerConnection, seed);
-  phase_c(fix, server::DataPlane::kEpollReactor, seed);
+  phase_c(fix, seed);
 
   std::remove(fix.path.c_str());
   if (g_failures > 0) {

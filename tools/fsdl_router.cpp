@@ -3,8 +3,7 @@
 //   fsdl_router --shard HOST:PORT[,HOST:PORT...] [--shard ...] ...
 //               [--port P] [--workers N] [--backlog B]
 //               [--recv-timeout-ms T] [--send-timeout-ms T] [--max-queued Q]
-//               [--drain-ms D] [--data-plane reactor|thread]
-//               [--reactor-threads N] [--batch-window-us U]
+//               [--drain-ms D] [--reactor-threads N]
 //               [--label-cache C] [--label-cache-shards S]
 //               [--prepared-cache P]
 //               [--ring-seed S] [--ring-points P]
@@ -83,8 +82,7 @@ void on_terminate(int) {
       "                   [--port P] [--workers N] [--backlog B]\n"
       "                   [--recv-timeout-ms T] [--send-timeout-ms T]\n"
       "                   [--max-queued Q] [--drain-ms D]\n"
-      "                   [--data-plane reactor|thread]\n"
-      "                   [--reactor-threads N] [--batch-window-us U]\n"
+      "                   [--reactor-threads N]\n"
       "                   [--label-cache C] [--label-cache-shards S]\n"
       "                   [--prepared-cache P]\n"
       "                   [--ring-seed S] [--ring-points P]\n"
@@ -143,25 +141,13 @@ int main(int argc, char** argv) {
       options.transport.send_timeout_ms =
           static_cast<unsigned>(std::atoi(argv[++k]));
     } else if (arg == "--max-queued" && k + 1 < argc) {
-      options.transport.max_queued_connections =
+      options.transport.max_queued_requests =
           static_cast<std::size_t>(std::atol(argv[++k]));
     } else if (arg == "--drain-ms" && k + 1 < argc) {
       options.transport.drain_deadline_ms =
           static_cast<unsigned>(std::atoi(argv[++k]));
-    } else if (arg == "--data-plane" && k + 1 < argc) {
-      const std::string plane = argv[++k];
-      if (plane == "reactor") {
-        options.transport.data_plane = server::DataPlane::kEpollReactor;
-      } else if (plane == "thread") {
-        options.transport.data_plane = server::DataPlane::kThreadPerConnection;
-      } else {
-        usage("--data-plane must be 'reactor' or 'thread'");
-      }
     } else if (arg == "--reactor-threads" && k + 1 < argc) {
       options.transport.reactor_threads =
-          static_cast<unsigned>(std::atoi(argv[++k]));
-    } else if (arg == "--batch-window-us" && k + 1 < argc) {
-      options.transport.batch_window_us =
           static_cast<unsigned>(std::atoi(argv[++k]));
     } else if (arg == "--label-cache" && k + 1 < argc) {
       options.label_cache_capacity =

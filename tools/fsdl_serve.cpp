@@ -3,8 +3,7 @@
 //   fsdl_serve <scheme.fsdl> [--port P] [--workers N] [--cache C] [--warm]
 //              [--backlog B] [--recv-timeout-ms T] [--send-timeout-ms T]
 //              [--request-deadline-ms D] [--max-queued Q] [--drain-ms D]
-//              [--data-plane reactor|thread] [--reactor-threads N]
-//              [--batch-window-us U] [--watchdog-ms MS]
+//              [--reactor-threads N] [--watchdog-ms MS]
 //              [--watchdog-stall-ms MS] [--watchdog-abort-ms MS]
 //              [--metrics-dump FILE] [--metrics-interval S] [--admin]
 //              [--slow-query-us T] [--trace-level off|counters|spans]
@@ -115,10 +114,7 @@ void on_hup(int) {
                "T]\n"
                "                  [--request-deadline-ms D] [--max-queued "
                "Q]\n"
-               "                  [--drain-ms D]\n"
-               "                  [--data-plane reactor|thread]\n"
-               "                  [--reactor-threads N] [--batch-window-us "
-               "U]\n"
+               "                  [--drain-ms D] [--reactor-threads N]\n"
                "                  [--watchdog-ms MS] [--watchdog-stall-ms "
                "MS]\n"
                "                  [--watchdog-abort-ms MS]\n"
@@ -138,7 +134,7 @@ void on_hup(int) {
 }
 
 /// --health HOST:PORT probe: one HEALTH round-trip, reply on stdout — e.g.
-/// "ready epoch=1 n=64 shard=0/2 plane=reactor uptime_s=12 conns=3" (the
+/// "ready epoch=1 n=64 shard=0/2 uptime_s=12 conns=3" (the
 /// state may also be loading/draining, or degraded when the watchdog sees a
 /// stalled loop). Exit codes: 0 ready, 1 alive-but-not-ready (includes
 /// degraded), 2 unreachable.
@@ -238,23 +234,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--request-deadline-ms" && k + 1 < argc) {
       options.request_deadline_ms = std::strtod(argv[++k], nullptr);
     } else if (arg == "--max-queued" && k + 1 < argc) {
-      options.max_queued_connections =
+      options.max_queued_requests =
           static_cast<std::size_t>(std::atol(argv[++k]));
     } else if (arg == "--drain-ms" && k + 1 < argc) {
       options.drain_deadline_ms = static_cast<unsigned>(std::atoi(argv[++k]));
-    } else if (arg == "--data-plane" && k + 1 < argc) {
-      const std::string plane = argv[++k];
-      if (plane == "reactor") {
-        options.data_plane = server::DataPlane::kEpollReactor;
-      } else if (plane == "thread") {
-        options.data_plane = server::DataPlane::kThreadPerConnection;
-      } else {
-        usage("--data-plane must be 'reactor' or 'thread'");
-      }
     } else if (arg == "--reactor-threads" && k + 1 < argc) {
       options.reactor_threads = static_cast<unsigned>(std::atoi(argv[++k]));
-    } else if (arg == "--batch-window-us" && k + 1 < argc) {
-      options.batch_window_us = static_cast<unsigned>(std::atoi(argv[++k]));
     } else if (arg == "--watchdog-ms" && k + 1 < argc) {
       options.watchdog_interval_ms = static_cast<unsigned>(std::atoi(argv[++k]));
     } else if (arg == "--watchdog-stall-ms" && k + 1 < argc) {
@@ -359,13 +344,10 @@ int main(int argc, char** argv) {
     const int effective_backlog =
         options.listen_backlog <= 0 ? 64 : options.listen_backlog;
     std::printf("fsdl_serve: n=%u eps=%.3g shard=%u/%u workers=%u cache=%zu "
-                "backlog=%d plane=%s port=%u%s\n",
+                "backlog=%d port=%u%s\n",
                 n, eps, part.shard_id, part.shard_count, options.workers,
-                options.cache_capacity, effective_backlog,
-                options.data_plane == server::DataPlane::kEpollReactor
-                    ? "reactor"
-                    : "thread",
-                srv.port(), options.admin ? " admin=on" : "");
+                options.cache_capacity, effective_backlog, srv.port(),
+                options.admin ? " admin=on" : "");
     std::fflush(stdout);
 
     // Wait for signal bytes; with --metrics-dump the wait doubles as the
