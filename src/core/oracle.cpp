@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 
 namespace fsdl {
 
@@ -32,7 +33,11 @@ const VertexLabel& ForbiddenSetOracle::label(Vertex v) const {
 }
 
 void ForbiddenSetOracle::warm() const {
-  for (Vertex v = 0; v < scheme_->num_vertices(); ++v) label(v);
+  parallel_for(scheme_->num_vertices(), resolve_threads(0),
+               [this](unsigned, std::size_t k) {
+                 const auto v = static_cast<Vertex>(k);
+                 if (scheme_->stores_label(v)) label(v);
+               });
 }
 
 QueryResult ForbiddenSetOracle::query(Vertex s, Vertex t,

@@ -42,8 +42,9 @@ class ForbiddenSetOracle {
   /// oracle's lifetime (entries are never evicted).
   const VertexLabel& label(Vertex v) const;
 
-  /// Decode every label up front — optional warm-up so a serving process
-  /// pays decode cost at startup instead of on first touch.
+  /// Decode every stored label up front — optional warm-up so a serving
+  /// process pays decode cost at startup instead of on first touch. Runs on
+  /// resolve_threads(0) workers; a shard's unowned vertices are skipped.
   void warm() const;
 
   const ForbiddenSetLabeling& scheme() const noexcept { return *scheme_; }

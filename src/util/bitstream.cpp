@@ -23,34 +23,35 @@ void BitWriter::write_bits(std::uint64_t value, unsigned width) {
 void BitWriter::write_gamma(std::uint64_t value) {
   if (value == 0) throw std::invalid_argument("gamma code requires value >= 1");
   const unsigned len = 64 - static_cast<unsigned>(std::countl_zero(value));
+  if (len <= 32) {
+    // len-1 zeros, the stop bit, then the len-1 bits below the leading one,
+    // as one field of 2·len-1 bits.
+    const std::uint64_t low = value & ((std::uint64_t{1} << (len - 1)) - 1);
+    write_bits((low << len) | (std::uint64_t{1} << (len - 1)), 2 * len - 1);
+    return;
+  }
   write_bits(0, len - 1);          // len-1 zeros
   write_bits(1, 1);                // stop bit
   write_bits(value, len - 1);      // remaining bits below the leading one
 }
 
-std::uint64_t BitReader::read_bits(unsigned width) {
-  if (width > 64) throw std::invalid_argument("BitReader: width > 64");
-  if (width == 0) return 0;
-  if (pos_ + width > bit_size_) throw std::out_of_range("BitReader: past end");
-
-  const std::size_t word_index = pos_ / 64;
-  const unsigned offset = static_cast<unsigned>(pos_ % 64);
-  std::uint64_t value = (*words_)[word_index] >> offset;
-  if (offset + width > 64) {
-    value |= (*words_)[word_index + 1] << (64 - offset);
-  }
-  pos_ += width;
-  if (width < 64) value &= (std::uint64_t{1} << width) - 1;
-  return value;
+void BitReader::bad_width() {
+  throw std::invalid_argument("BitReader: width > 64");
 }
 
-std::uint64_t BitReader::read_gamma() {
+void BitReader::past_end() { throw std::out_of_range("BitReader: past end"); }
+
+// One bit at a time: a zero window, a code wider than 64 bits, or a code
+// that runs past the end. A run of 64 zeros fits no 64-bit value, so it is
+// refused once its low bits are read, like a longer run is at its 65th zero.
+std::uint64_t BitReader::read_gamma_slow() {
   unsigned zeros = 0;
   while (read_bits(1) == 0) {
     ++zeros;
     if (zeros > 64) throw std::runtime_error("gamma code corrupt");
   }
   const std::uint64_t low = zeros == 0 ? 0 : read_bits(zeros);
+  if (zeros == 64) throw std::runtime_error("gamma code corrupt");
   return (std::uint64_t{1} << zeros) | low;
 }
 

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "core/connectivity.hpp"
 #include "core/dynamic_oracle.hpp"
 #include "core/labeling.hpp"
 #include "core/oracle.hpp"
 #include "graph/fault_view.hpp"
 #include "graph/generators.hpp"
+#include "shard/shard_store.hpp"
 #include "util/rng.hpp"
 
 namespace fsdl {
@@ -98,6 +103,62 @@ TEST_F(OracleTest, DynamicMatchesStaticQueries) {
     const Vertex s = rng.vertex(g_.num_vertices());
     const Vertex t = rng.vertex(g_.num_vertices());
     EXPECT_EQ(dyn.distance(s, t), oracle_->distance(s, t, mirror));
+  }
+}
+
+// Labels compare through their re-encoded bits: the codec is injective.
+std::vector<std::uint64_t> reencode(const VertexLabel& label,
+                                    const ForbiddenSetLabeling& scheme) {
+  BitWriter out;
+  encode_label(label, scheme.vertex_bits(), out, scheme.codec());
+  return out.words();
+}
+
+TEST(OracleWarm, ShardWarmDecodesOnlyOwnedLabels) {
+  const Graph g = make_grid2d(8, 8);
+  const auto scheme =
+      ForbiddenSetLabeling::build(g, SchemeParams::compact(1.0, 2));
+  const auto shards = shard::split_labeling(scheme, 2);
+  const ForbiddenSetOracle oracle(shards[0]);
+  ASSERT_NO_THROW(oracle.warm());
+  Vertex owned = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (!shards[0].stores_label(v)) continue;
+    ++owned;
+    EXPECT_EQ(reencode(oracle.label(v), scheme), reencode(scheme.label(v), scheme))
+        << "v=" << v;
+  }
+  EXPECT_GT(owned, 0u);
+  EXPECT_LT(owned, g.num_vertices());
+}
+
+TEST(OracleWarm, ParallelWarmRacesReadersSafely) {
+  const Graph g = make_grid2d(12, 12);
+  const auto scheme =
+      ForbiddenSetLabeling::build(g, SchemeParams::compact(1.0, 2));
+  const ForbiddenSetOracle oracle(scheme);
+  const Vertex n = g.num_vertices();
+  std::atomic<bool> warmed{false};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(100 + t);
+      // At least n random reads, and more for as long as warm() runs.
+      for (Vertex k = 0; k < n || !warmed.load(std::memory_order_acquire);
+           ++k) {
+        const Vertex v = rng.vertex(n);
+        EXPECT_EQ(oracle.label(v).owner, v);
+      }
+    });
+  }
+  oracle.warm();
+  warmed.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  for (Vertex v = 0; v < n; ++v) {
+    const VertexLabel& cached = oracle.label(v);
+    EXPECT_EQ(&oracle.label(v), &cached);
+    EXPECT_EQ(reencode(cached, scheme), reencode(scheme.label(v), scheme))
+        << "v=" << v;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/serialize.hpp"
 #include "graph/fault_view.hpp"
 #include "graph/generators.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace fsdl {
@@ -77,6 +78,39 @@ TEST(Serialize, DeltaCodecSurvivesRoundTrip) {
   FaultSet f;
   f.add_vertex(30);
   EXPECT_EQ(a.distance(0, 69, f), b.distance(0, 69, f));
+}
+
+// Size and CRC-32 of whole label files, recorded from the bit-at-a-time
+// codec: a change to the bits labels are written with shows up here.
+TEST(Serialize, LabelFilesMatchRecordedBytes) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    SchemeParams params;
+    LabelCodec codec;
+    std::size_t bytes;
+    std::uint32_t crc;
+  };
+  const Case cases[] = {
+      {"grid classic", make_grid2d(12, 12), SchemeParams::compact(1.0, 2),
+       LabelCodec::kClassic, 1509695, 4216890110u},
+      {"grid delta", make_grid2d(12, 12), SchemeParams::compact(1.0, 2),
+       LabelCodec::kDelta, 685575, 4210328916u},
+      {"cycle classic", make_cycle(90), SchemeParams::faithful(1.0),
+       LabelCodec::kClassic, 1358575, 916579940u},
+      {"cycle delta", make_cycle(90), SchemeParams::faithful(1.0),
+       LabelCodec::kDelta, 648471, 813089279u},
+  };
+  for (const Case& c : cases) {
+    BuildOptions options;
+    options.codec = c.codec;
+    const auto scheme = ForbiddenSetLabeling::build(c.graph, c.params, options);
+    std::ostringstream out;
+    save_labeling(scheme, out);
+    const std::string blob = out.str();
+    EXPECT_EQ(blob.size(), c.bytes) << c.name;
+    EXPECT_EQ(crc32(blob.data(), blob.size()), c.crc) << c.name;
+  }
 }
 
 TEST(Serialize, RejectsGarbage) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,6 +108,208 @@ TEST(BitStream, ReaderThrowsPastEnd) {
   BitReader r(w);
   r.read_bits(1);
   EXPECT_THROW(r.read_bits(1), std::out_of_range);
+}
+
+// Bit-at-a-time gamma reader over the raw words: the reference the inline
+// word-level BitReader::read_gamma must agree with, value, position and
+// error alike.
+class ReferenceGammaReader {
+ public:
+  explicit ReferenceGammaReader(const BitWriter& w) : w_(w) {}
+
+  std::uint64_t read_bit() {
+    if (pos_ >= w_.bit_size()) throw std::out_of_range("reference: past end");
+    const std::uint64_t bit = (w_.words()[pos_ / 64] >> (pos_ % 64)) & 1;
+    ++pos_;
+    return bit;
+  }
+
+  std::uint64_t read_gamma() {
+    unsigned zeros = 0;
+    while (read_bit() == 0) {
+      if (++zeros > 64) throw std::runtime_error("reference: corrupt");
+    }
+    // A past-end cut inside the low bits must not advance (read_bits does
+    // not), so check the whole field before consuming it.
+    if (pos_ + zeros > w_.bit_size()) {
+      throw std::out_of_range("reference: past end");
+    }
+    std::uint64_t low = 0;
+    for (unsigned k = 0; k < zeros; ++k) low |= read_bit() << k;
+    if (zeros == 64) throw std::runtime_error("reference: corrupt");
+    return (std::uint64_t{1} << zeros) | low;
+  }
+
+  std::size_t position() const { return pos_; }
+
+ private:
+  const BitWriter& w_;
+  std::size_t pos_ = 0;
+};
+
+enum class Outcome { kValue, kOutOfRange, kCorrupt };
+
+template <class Reader>
+Outcome read_one(Reader& r, std::uint64_t& value) {
+  try {
+    value = r.read_gamma();
+    return Outcome::kValue;
+  } catch (const std::out_of_range&) {
+    return Outcome::kOutOfRange;
+  } catch (const std::runtime_error&) {
+    return Outcome::kCorrupt;
+  }
+}
+
+// Append `count` bits of `rng` noise (any count, not just <= 64).
+void write_noise(BitWriter& w, std::size_t count, Rng& rng) {
+  while (count > 0) {
+    const unsigned width = static_cast<unsigned>(std::min<std::size_t>(64, count));
+    w.write_bits(rng.next(), width);
+    count -= width;
+  }
+}
+
+// A value whose gamma code is 2·len-1 bits long (len in [1, 64]).
+std::uint64_t value_of_length(unsigned len, Rng& rng) {
+  const std::uint64_t top = std::uint64_t{1} << (len - 1);
+  return top | (rng.next() & (top - 1));
+}
+
+// Read `w` to its end (or first error) with both readers from `start`,
+// requiring the same value, position and error at every step.
+void expect_readers_agree(const BitWriter& w, std::size_t start) {
+  BitReader fast(w);
+  ReferenceGammaReader ref(w);
+  for (std::size_t k = 0; k < start; ++k) {
+    fast.read_bits(1);
+    ref.read_bit();
+  }
+  for (;;) {
+    std::uint64_t a = 0, b = 0;
+    const Outcome fa = read_one(fast, a);
+    const Outcome fb = read_one(ref, b);
+    ASSERT_EQ(static_cast<int>(fa), static_cast<int>(fb))
+        << "start=" << start << " pos=" << ref.position();
+    ASSERT_EQ(fast.position(), ref.position()) << "start=" << start;
+    if (fa != Outcome::kValue) return;
+    ASSERT_EQ(a, b) << "start=" << start << " pos=" << ref.position();
+  }
+}
+
+TEST(BitStream, GammaEveryLengthAtEveryStartOffset) {
+  Rng rng(2024);
+  for (std::size_t offset = 0; offset < 128; ++offset) {
+    BitWriter w;
+    write_noise(w, offset, rng);
+    std::vector<std::uint64_t> values;
+    for (unsigned len = 1; len <= 64; ++len) {
+      values.push_back(value_of_length(len, rng));
+      w.write_gamma(values.back());
+    }
+    for (unsigned len = 64; len >= 1; --len) {  // long codes first, too
+      values.push_back(value_of_length(len, rng));
+      w.write_gamma(values.back());
+    }
+    BitReader r(w);
+    for (std::size_t k = 0; k < offset; ++k) r.read_bits(1);
+    for (const std::uint64_t v : values) {
+      ASSERT_EQ(r.read_gamma(), v) << "offset=" << offset;
+    }
+    EXPECT_TRUE(r.exhausted());
+    expect_readers_agree(w, offset);
+  }
+}
+
+TEST(BitStream, GammaMatchesReferenceOnArbitraryBits) {
+  // Sparse ones give every zero-run length, including runs past 64 and
+  // streams that end mid-code, so the fallback and its errors are reached.
+  Rng rng(7);
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<std::uint64_t> words(6);
+    const double density = iter % 4 == 0 ? 0.005 : 0.08;
+    for (auto& word : words) {
+      for (unsigned b = 0; b < 64; ++b) {
+        if (rng.chance(density)) word |= std::uint64_t{1} << b;
+      }
+    }
+    const std::size_t bits = 64 * 5 + rng.below(65);
+    const BitWriter w = BitWriter::from_words(words, bits);
+    for (std::size_t start = 0; start < 128; ++start) {
+      expect_readers_agree(w, start);
+    }
+  }
+}
+
+TEST(BitStream, GammaCutAnywhereThrowsOutOfRange) {
+  Rng rng(31);
+  for (unsigned len = 1; len <= 64; ++len) {
+    for (const std::size_t offset : {0u, 1u, 17u, 63u, 64u, 100u}) {
+      BitWriter full;
+      write_noise(full, offset, rng);
+      const std::uint64_t value = value_of_length(len, rng);
+      full.write_gamma(value);
+      write_noise(full, 70, rng);  // bits the cut must hide
+      const std::size_t code = 2 * len - 1;
+      // Cut inside the zero run, right before the stop bit, and inside the
+      // low bits: every cut short of the whole code.
+      for (std::size_t keep = 0; keep < code; ++keep) {
+        const BitWriter cut =
+            BitWriter::from_words(full.words(), offset + keep);
+        BitReader r(cut);
+        for (std::size_t k = 0; k < offset; ++k) r.read_bits(1);
+        EXPECT_THROW(r.read_gamma(), std::out_of_range)
+            << "len=" << len << " offset=" << offset << " keep=" << keep;
+      }
+      const BitWriter whole = BitWriter::from_words(full.words(), offset + code);
+      BitReader r(whole);
+      for (std::size_t k = 0; k < offset; ++k) r.read_bits(1);
+      EXPECT_EQ(r.read_gamma(), value) << "len=" << len;
+      EXPECT_TRUE(r.exhausted());
+    }
+  }
+}
+
+TEST(BitStream, GammaZeroRunPast64IsCorrupt) {
+  for (const std::size_t offset : {0u, 5u, 64u}) {
+    BitWriter w;
+    w.write_bits(0, static_cast<unsigned>(offset));
+    w.write_bits(0, 64);
+    w.write_bits(0, 1);  // 65 zeros
+    w.write_bits(~std::uint64_t{0}, 64);
+    BitReader r(w);
+    r.read_bits(static_cast<unsigned>(offset));
+    EXPECT_THROW(r.read_gamma(), std::runtime_error) << "offset=" << offset;
+  }
+  // Exactly 64 zeros, a stop bit and 64 low bits: no 64-bit value has it.
+  BitWriter w;
+  w.write_bits(0, 64);
+  w.write_bits(1, 1);
+  w.write_bits(~std::uint64_t{0}, 64);
+  BitReader r(w);
+  EXPECT_THROW(r.read_gamma(), std::runtime_error);
+}
+
+TEST(BitStream, OneCallGammaWriteMatchesThreeCallEncoding) {
+  Rng rng(5);
+  for (unsigned len = 1; len <= 64; ++len) {
+    for (std::size_t offset = 0; offset < 64; offset += 7) {
+      const std::uint64_t top = std::uint64_t{1} << (len - 1);
+      for (const std::uint64_t value :
+           {top, top | (top - 1), value_of_length(len, rng)}) {
+        BitWriter fast, slow;
+        write_noise(fast, offset, rng);
+        slow = BitWriter::from_words(fast.words(), fast.bit_size());
+        fast.write_gamma(value);
+        slow.write_bits(0, len - 1);
+        slow.write_bits(1, 1);
+        slow.write_bits(value, len - 1);
+        ASSERT_EQ(fast.bit_size(), slow.bit_size()) << "len=" << len;
+        ASSERT_EQ(fast.words(), slow.words())
+            << "len=" << len << " value=" << value;
+      }
+    }
+  }
 }
 
 TEST(BitsFor, KnownValues) {
